@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
@@ -8,6 +9,7 @@ import (
 	"io"
 	"os"
 	"testing"
+	"time"
 
 	"ealb/internal/trace"
 	"ealb/internal/workload"
@@ -100,6 +102,53 @@ func TestTraceChurnInvariance(t *testing.T) {
 	}
 	if rec.Events(trace.KindRepair) == 0 {
 		t.Error("churned run traced no repairs")
+	}
+}
+
+// streamRecorder records every event and phase timing in call order.
+type streamRecorder struct{ items []any }
+
+func (r *streamRecorder) Event(e trace.Event) { r.items = append(r.items, e) }
+func (r *streamRecorder) Phase(p trace.Phase, d time.Duration) {
+	r.items = append(r.items, struct {
+		Phase string `json:"phase"`
+		NS    int64  `json:"ns"`
+	}{p.String(), int64(d)})
+}
+
+// TestWriterMatchesEncoderOnChurnedRun: on a churned run — every event
+// kind the cluster emits, fractional demands and times — the Writer's
+// hand-encoded NDJSON is byte-identical to a json.Encoder over the same
+// recorded stream of events and phase timings.
+func TestWriterMatchesEncoderOnChurnedRun(t *testing.T) {
+	cfg := DefaultConfig(100, workload.LowLoad(), 2014)
+	cfg.MTBF = 20 * cfg.Tau
+	cfg.MTTR = 5 * cfg.Tau
+	var got bytes.Buffer
+	w := trace.NewWriter(&got)
+	rec := &streamRecorder{}
+	tracedDigest(t, cfg, 40, trace.Multi(w, rec))
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	var want bytes.Buffer
+	enc := json.NewEncoder(&want)
+	kinds := make(map[trace.Kind]bool)
+	for _, it := range rec.items {
+		if e, ok := it.(trace.Event); ok {
+			kinds[e.Kind] = true
+		}
+		if err := enc.Encode(it); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, k := range []trace.Kind{trace.KindReport, trace.KindMove, trace.KindSleep, trace.KindFail, trace.KindRepair} {
+		if !kinds[k] {
+			t.Errorf("churned run emitted no %s events", k)
+		}
+	}
+	if !bytes.Equal(got.Bytes(), want.Bytes()) {
+		t.Fatalf("Writer output (%d bytes) differs from json.Encoder output (%d bytes)", got.Len(), want.Len())
 	}
 }
 

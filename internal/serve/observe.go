@@ -1,12 +1,12 @@
 package serve
 
 import (
-	"encoding/json"
 	"fmt"
 	"log/slog"
 	"net/http"
 	"sort"
 	"strconv"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -22,30 +22,54 @@ import (
 // dropped from the stream.
 const maxTraceEventsPerCell = 1 << 17
 
-// tailTracer is the per-cell tracer of a traced run: decision events
-// feed the run's trace tail for live NDJSON streaming and the run store
-// (where finished runs stream from, so the live buffers can be released
-// at terminal status); phase timings feed the server-wide phase
-// histograms exported on /metrics. It is driven from engine worker
-// goroutines; the tail, store and histograms are all concurrency-safe.
+// traceArenaSize is the chunk size a tailTracer carves its encoded
+// event lines from: one allocation per few hundred events instead of
+// one per event.
+const traceArenaSize = 64 << 10
+
+// tailTracer is the per-cell tracer of a traced run: each decision event
+// is encoded once, by trace.AppendEvent, and the line feeds both the
+// run's trace tail for live NDJSON streaming and the run store (where
+// finished runs stream from, so the live buffers can be released at
+// terminal status); phase timings feed the server-wide phase histograms
+// exported on /metrics. It is driven from engine worker goroutines — a
+// farm cell's clusters concurrently — so events are serialized by mu,
+// which also keeps the tail and the store in the same order.
 type tailTracer struct {
 	srv   *Server
-	tail  *tail
+	tail  *tail[[]byte]
 	runID string
 	cell  int
-	n     atomic.Int64
+
+	mu sync.Mutex
+	//ealb:guarded-by(mu)
+	n int
+	// arena holds the cell's encoded lines; each line is a capacity-
+	// capped slice of it, so the tail can keep it without copying.
+	//ealb:guarded-by(mu)
+	arena []byte
 }
 
 func (tt *tailTracer) Event(e trace.Event) {
-	if tt.n.Add(1) > maxTraceEventsPerCell {
+	tt.mu.Lock()
+	defer tt.mu.Unlock()
+	if tt.n++; tt.n > maxTraceEventsPerCell {
 		tt.srv.traceDropped.Add(1)
 		return
 	}
-	tt.tail.observe(tt.cell, e)
-	if raw, err := json.Marshal(e); err == nil {
-		if err := tt.srv.store.AppendTrace(tt.runID, tt.cell, raw); err != nil {
-			tt.srv.logStoreError("trace", tt.runID, err)
-		}
+	if cap(tt.arena)-len(tt.arena) < 512 {
+		tt.arena = make([]byte, 0, traceArenaSize)
+	}
+	start := len(tt.arena)
+	b, err := trace.AppendEvent(tt.arena, e)
+	if err != nil {
+		return // unencodable (NaN/Inf): absent from the tail and the store alike
+	}
+	tt.arena = b
+	line := b[start:len(b):len(b)]
+	tt.tail.observe(tt.cell, line)
+	if err := tt.srv.store.AppendTrace(tt.runID, tt.cell, line); err != nil {
+		tt.srv.logStoreError("trace", tt.runID, err)
 	}
 }
 
@@ -180,36 +204,41 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	flusher, _ := w.(http.Flusher)
-	enc := json.NewEncoder(w)
+	// Stored and live items alike are encoded event lines: write them
+	// verbatim, newline-terminated, in 64 KiB batches.
+	var buf []byte
+	emit := func(lines [][]byte) bool {
+		for i, ln := range lines {
+			buf = append(append(buf, ln...), '\n')
+			if len(buf) >= 64<<10 || i == len(lines)-1 {
+				if _, err := w.Write(buf); err != nil {
+					return false
+				}
+				buf = buf[:0]
+			}
+		}
+		if flusher != nil && len(lines) > 0 {
+			flusher.Flush()
+		}
+		return true
+	}
 	sent := 0
 	for {
-		items, done, released, wake := run.traceTail.after(cell, sent)
+		lines, done, released, wake := run.traceTail.after(cell, sent)
 		if released {
 			// Terminal: the live buffers are gone; stream the remainder
 			// from the store. Trace streams carry no status line (unlike
 			// interval tails) — that contract is unchanged.
-			if lines, err := s.store.Trace(run.ID, cell); err == nil && sent < len(lines) {
-				for _, ln := range lines[sent:] {
-					if err := enc.Encode(json.RawMessage(ln)); err != nil {
-						return
-					}
-				}
-				if flusher != nil {
-					flusher.Flush()
-				}
+			if stored, err := s.store.Trace(run.ID, cell); err == nil && sent < len(stored) {
+				emit(stored[sent:])
 			}
 			return
 		}
-		for _, e := range items {
-			if err := enc.Encode(e); err != nil {
-				return
-			}
+		if !emit(lines) {
+			return
 		}
-		if flusher != nil && len(items) > 0 {
-			flusher.Flush()
-		}
-		sent += len(items)
-		if len(items) > 0 {
+		sent += len(lines)
+		if len(lines) > 0 {
 			continue // re-check before blocking: more may have arrived
 		}
 		if done {

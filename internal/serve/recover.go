@@ -79,26 +79,14 @@ func (s *Server) recoverRun(rec store.Record) error {
 	traced := streaming && ex.Cells()[0].Trace
 
 	if terminal(rec.Status) {
-		if rec.Status == StatusDone && len(rec.Result) > 0 {
-			if rec.Single {
-				var res engine.Result
-				if err := json.Unmarshal(rec.Result, &res); err == nil {
-					run.Result = &res
-				}
-			} else {
-				var sw engine.SweepResult
-				if err := json.Unmarshal(rec.Result, &sw); err == nil {
-					run.Sweep = &sw
-				}
-			}
-		}
+		decodeResult(run, rec)
 		// Released tails route interval readers to the recorded result
 		// or the store, and trace readers to the store.
 		if streaming {
-			run.tail = releasedTail(len(ex.Cells()))
+			run.tail = releasedTail[any](len(ex.Cells()))
 		}
 		if traced {
-			run.traceTail = releasedTail(len(ex.Cells()))
+			run.traceTail = releasedTail[[]byte](len(ex.Cells()))
 		}
 		s.register(run, false)
 		return nil
@@ -113,10 +101,10 @@ func (s *Server) recoverRun(rec store.Record) error {
 	}
 	if !claimed {
 		if streaming {
-			run.tail = newTail(len(ex.Cells()))
+			run.tail = newTail[any](len(ex.Cells()))
 		}
 		if traced {
-			run.traceTail = newTail(len(ex.Cells()))
+			run.traceTail = newTail[[]byte](len(ex.Cells()))
 		}
 		s.register(run, false)
 		if s.logger != nil {
@@ -150,16 +138,16 @@ func (s *Server) recoverRun(rec store.Record) error {
 		return err
 	}
 	if streaming {
-		run.tail = newTail(len(ex.Cells()))
+		run.tail = newTail[any](len(ex.Cells()))
 		//ealb:allow-nondet per-cell preload; cells are independent buffers
 		for cell := range resume {
 			if lines, err := s.store.Intervals(rec.ID, cell); err == nil {
-				run.tail.preload(cell, lines)
+				run.tail.preload(cell, rawLines(lines))
 			}
 		}
 	}
 	if traced {
-		run.traceTail = newTail(len(ex.Cells()))
+		run.traceTail = newTail[[]byte](len(ex.Cells()))
 		//ealb:allow-nondet per-cell preload; cells are independent buffers
 		for cell := range resume {
 			if lines, err := s.store.Trace(rec.ID, cell); err == nil {

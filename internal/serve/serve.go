@@ -119,17 +119,20 @@ type Run struct {
 	resume map[int]engine.Result
 	// cancel aborts the run's context (DELETE, Shutdown).
 	cancel context.CancelFunc
+	// stored marks a done run whose result was evicted from memory: it
+	// is read back from the run store's record on demand (fullSnapshot).
+	stored bool
 	// tail buffers per-interval stats of cluster cells for live
 	// streaming; nil for policy runs. Released at every terminal status:
 	// done runs serve intervals from the recorded result,
 	// failed/cancelled ones from the store.
-	tail *tail
-	// traceTail buffers decision events for runs submitted with
-	// "trace":true; nil otherwise. Also released at terminal status —
-	// events persist in the store (bounded by maxTraceEventsPerCell and
-	// the memory store's retention window), so finished runs stay
-	// streamable without pinning every event in RAM.
-	traceTail *tail
+	tail *tail[any]
+	// traceTail buffers the encoded decision-event lines of runs
+	// submitted with "trace":true; nil otherwise. Also released at
+	// terminal status — events persist in the store (bounded by
+	// maxTraceEventsPerCell and the memory store's retention window), so
+	// finished runs stay streamable without pinning every event in RAM.
+	traceTail *tail[[]byte]
 }
 
 // summary is the list view of a run: everything but the full result.
@@ -178,6 +181,10 @@ type Server struct {
 	// dedup; rebuilt from the store by Recover.
 	//ealb:guarded-by(mu)
 	idem map[string]string
+	// resident lists the done runs whose results are held in memory,
+	// oldest first (at most residentResults).
+	//ealb:guarded-by(mu)
+	resident []*Run
 	// wg counts every in-flight run — synchronous and asynchronous —
 	// and is incremented in newRun under mu, so Shutdown's draining
 	// flag and the drain wait cannot race a submission.
@@ -331,7 +338,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		// Idempotent retry: answer with the original run, no new work.
 		cancel()
 		w.Header().Set("Idempotency-Replayed", "true")
-		snap := s.snapshot(run.ID)
+		snap := s.fullSnapshot(run.ID)
 		code := http.StatusAccepted
 		if terminal(snap.Status) {
 			code = http.StatusOK
@@ -349,7 +356,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			defer cancel()
 			s.execute(ctx, run)
 		}()
-		snap := s.snapshot(run.ID)
+		snap := s.fullSnapshot(run.ID)
 		code := http.StatusOK
 		if snap.Status != StatusDone {
 			code = http.StatusUnprocessableEntity
@@ -436,10 +443,10 @@ func (s *Server) newRun(ex engine.ExpandedSweep, single bool, cancel context.Can
 		run.Spec = &sp
 	}
 	if spec.Kind == engine.KindCluster || spec.Kind == engine.KindFarm {
-		run.tail = newTail(len(ex.Cells()))
+		run.tail = newTail[any](len(ex.Cells()))
 		// Every cell of a sweep shares the spec's trace flag.
 		if ex.Cells()[0].Trace {
-			run.traceTail = newTail(len(ex.Cells()))
+			run.traceTail = newTail[[]byte](len(ex.Cells()))
 		}
 	}
 	s.runs[run.ID] = run
@@ -582,6 +589,8 @@ func (s *Server) execute(ctx context.Context, run *Run) {
 	// tails now stream from).
 	if perr := s.store.PutRun(rec); perr != nil {
 		s.logStoreError("put", run.ID, perr)
+	} else if err == nil {
+		s.retainResult(run)
 	}
 	if err == nil {
 		if derr := s.store.DropIntervals(run.ID); derr != nil {
@@ -619,7 +628,8 @@ func (s *Server) execute(ctx context.Context, run *Run) {
 }
 
 // snapshot copies a run under the lock so handlers can marshal it
-// without racing execute.
+// without racing execute. A stored run's copy has no result; handlers
+// that serve the result use fullSnapshot.
 func (s *Server) snapshot(id string) *Run {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -629,6 +639,60 @@ func (s *Server) snapshot(id string) *Run {
 	}
 	cp := *run
 	return &cp
+}
+
+// fullSnapshot is snapshot with the run's result, read back from the
+// run store's record when it is no longer held in memory.
+func (s *Server) fullSnapshot(id string) *Run {
+	run := s.snapshot(id)
+	if run == nil || !run.stored {
+		return run
+	}
+	if rec, ok, err := s.store.GetRun(id); err == nil && ok {
+		decodeResult(run, rec)
+	} else if err != nil {
+		s.logStoreError("get", id, err)
+	}
+	return run
+}
+
+// decodeResult fills run's result from a done record's marshaled result.
+// A result that no longer decodes leaves the run without one.
+func decodeResult(run *Run, rec store.Record) {
+	if rec.Status != StatusDone || len(rec.Result) == 0 {
+		return
+	}
+	if rec.Single {
+		var res engine.Result
+		if err := json.Unmarshal(rec.Result, &res); err == nil {
+			run.Result = &res
+		}
+		return
+	}
+	var sw engine.SweepResult
+	if err := json.Unmarshal(rec.Result, &sw); err == nil {
+		run.Sweep = &sw
+	}
+}
+
+// residentResults is how many done runs' results the service keeps in
+// memory. Older done runs keep their place in the run index, but their
+// per-interval results — the bulk of a run's memory — are dropped and
+// read back from the run store's record on demand, so the memory
+// finished runs hold stays bounded however many the index lists.
+const residentResults = 4
+
+// retainResult enrolls a done run whose record (result included) the
+// store holds, evicting the oldest resident result beyond the window.
+func (s *Server) retainResult(run *Run) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.resident = append(s.resident, run)
+	for len(s.resident) > residentResults {
+		old := s.resident[0]
+		old.Result, old.Sweep, old.stored = nil, nil, true
+		s.resident = append(s.resident[:0], s.resident[1:]...)
+	}
 }
 
 func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
@@ -690,7 +754,7 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
-	run := s.snapshot(r.PathValue("id"))
+	run := s.fullSnapshot(r.PathValue("id"))
 	if run == nil {
 		httpError(w, http.StatusNotFound, "no such run")
 		return
@@ -778,7 +842,7 @@ func (s *Server) handleIntervals(w http.ResponseWriter, r *http.Request) {
 			// result; a failed/cancelled one streams it from the store and
 			// closes with the terminal status line, so a tail client sees
 			// why no more intervals will come.
-			snap := s.snapshot(run.ID)
+			snap := s.fullSnapshot(run.ID)
 			if snap.Status == StatusDone {
 				if stats := snap.cellStats(cell); sent < len(stats) {
 					emit(stats[sent:])
@@ -857,74 +921,86 @@ func (run *Run) cellStats(cell int) []any {
 	return nil
 }
 
-// tail buffers the per-interval statistics of a run's cluster or farm
-// cells — items are cluster.IntervalStats or farm.IntervalStats values,
-// matching the run kind — so clients can stream them while the
-// simulation is still running. Once the run completes successfully the
-// buffers are released — the same data lives in the recorded result,
-// and the service keeps runs for its whole lifetime.
-type tail struct {
+// tail buffers a run's per-cell stream items so clients can stream
+// them while the simulation is still running: the interval tail holds
+// cluster.IntervalStats or farm.IntervalStats values (matching the run
+// kind), the trace tail the encoded NDJSON lines of decision events.
+// Once the run reaches a terminal status the buffers are released —
+// the same data lives in the recorded result or the run store.
+type tail[T any] struct {
 	n int // cell count, stable after construction
 
 	mu sync.Mutex
 	//ealb:guarded-by(mu)
-	cells [][]any
+	cells [][]T
 	//ealb:guarded-by(mu)
 	done bool
 	//ealb:guarded-by(mu)
 	released bool
 	//ealb:guarded-by(mu)
-	wake chan struct{} // closed and replaced on every append/finish
+	wake chan struct{} // closed and replaced on the first append/finish after an after
+	//ealb:guarded-by(mu)
+	armed bool // a reader holds wake: the next append/finish must close it
 }
 
-func newTail(cells int) *tail {
-	return &tail{n: cells, cells: make([][]any, cells), wake: make(chan struct{})}
+func newTail[T any](cells int) *tail[T] {
+	return &tail[T]{n: cells, cells: make([][]T, cells), wake: make(chan struct{})}
 }
 
 // releasedTail builds a tail already in the terminal released state —
 // recovered terminal runs, whose streams live in the store or the
 // recorded result.
-func releasedTail(cells int) *tail {
-	t := newTail(cells)
+func releasedTail[T any](cells int) *tail[T] {
+	t := newTail[T](cells)
 	t.finish(true)
 	return t
 }
 
-func (t *tail) cellCount() int { return t.n }
+func (t *tail[T]) cellCount() int { return t.n }
 
-// preload seeds a cell's buffer with stored stream lines before the run
+// preload seeds a cell's buffer with stored stream items before the run
 // (re)starts: a resumed run's checkpointed cells never re-observe, so
-// live tail clients get their intervals from the preloaded lines
-// instead. json.RawMessage entries encode verbatim, matching the
-// original stream bytes.
-func (t *tail) preload(cell int, lines [][]byte) {
+// live tail clients get their items from the preloaded ones instead.
+func (t *tail[T]) preload(cell int, items []T) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if cell < 0 || cell >= len(t.cells) || t.done {
 		return
 	}
-	for _, ln := range lines {
-		t.cells[cell] = append(t.cells[cell], json.RawMessage(ln))
-	}
+	t.cells[cell] = append(t.cells[cell], items...)
 }
 
-// observe appends one interval and wakes blocked readers. It is called
-// from engine worker goroutines.
-func (t *tail) observe(cell int, st any) {
+// observe appends one item and wakes blocked readers. It is called from
+// engine worker goroutines.
+func (t *tail[T]) observe(cell int, v T) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if cell < 0 || cell >= len(t.cells) || t.done {
 		return
 	}
-	t.cells[cell] = append(t.cells[cell], st)
+	t.cells[cell] = append(t.cells[cell], v)
+	t.wakeLocked()
+}
+
+// wakeLocked closes the wake channel handed out since the last wake, if
+// any, and replaces it. With no reader waiting there is nothing to
+// close, so a busy writer does not allocate a channel per item. Caller
+// holds t.mu.
+//
+//ealb:locked(mu)
+func (t *tail[T]) wakeLocked() {
+	if !t.armed {
+		return
+	}
 	close(t.wake)
 	t.wake = make(chan struct{})
+	t.armed = false
 }
 
 // finish marks the run terminal and wakes blocked readers; release
-// additionally drops the interval buffers (the caller guarantees the
-// run's recorded result now holds them).
-func (t *tail) finish(release bool) {
+// additionally drops the buffers (the caller guarantees the run's
+// recorded result or the store now holds them).
+func (t *tail[T]) finish(release bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.done = true
@@ -932,20 +1008,20 @@ func (t *tail) finish(release bool) {
 		t.released = true
 		t.cells = nil
 	}
-	close(t.wake)
-	t.wake = make(chan struct{})
+	t.wakeLocked()
 }
 
-// after returns the cell's intervals past from, the terminal/released
+// after returns the cell's items past from, the terminal/released
 // flags, and a channel that is closed on the next append/finish. When
 // released is true the buffers are gone and the caller must read the
-// run's recorded result instead.
-func (t *tail) after(cell, from int) (items []any, done, released bool, wake <-chan struct{}) {
+// run's recorded result or the store instead.
+func (t *tail[T]) after(cell, from int) (items []T, done, released bool, wake <-chan struct{}) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if t.released {
 		return nil, true, true, t.wake
 	}
+	t.armed = true
 	items = t.cells[cell]
 	if from > len(items) {
 		from = len(items)

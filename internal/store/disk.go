@@ -1,8 +1,6 @@
 package store
 
 import (
-	"bufio"
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -27,21 +25,58 @@ import (
 // directory. A torn final line — the crash window of an append without
 // fsync — is treated as truncation: readers stop at the first
 // unparsable line, which for checkpoints merely re-runs one cell.
+//
+// Stream appends are buffered in memory per file and written out one
+// write(2) per streamBufSize bytes. A run's buffers are flushed before
+// each of its checkpoints (PutCell), record writes (PutRun), reads,
+// drops and truncations, and on Close, so a checkpointed cell's stream
+// lines always reach the file before its checkpoint line does — the
+// invariant resume relies on. A terminal PutRun also closes the run's
+// handles. A crash can therefore lose only buffered lines of cells that
+// had not checkpointed, which resume truncates and re-runs anyway.
 type Disk struct {
 	dir string
 
 	mu sync.Mutex
 	//ealb:guarded-by(mu)
 	seq int64 // high-water mark of reserved sequence numbers
-	// handles caches open append handles per stream file so per-interval
-	// appends do not reopen the file; closed on Drop/Truncate/Close.
+	// streams holds each live run's open append handles and their
+	// unwritten lines, so per-event appends neither reopen the file nor
+	// issue a write each.
 	//ealb:guarded-by(mu)
-	handles map[string]*os.File
+	streams map[string]*runStreams
 }
+
+// stream indexes a run's three append-only stream files.
+type stream int
+
+const (
+	intervalsStream stream = iota
+	traceStream
+	cellsStream
+	numStreams
+)
+
+var streamFiles = [numStreams]string{"intervals.ndjson", "trace.ndjson", "cells.ndjson"}
+
+// streamBufSize is the buffered byte count at which an append writes its
+// stream file's buffer out.
+const streamBufSize = 64 << 10
+
+// appendFile is one open stream file and its not-yet-written lines.
+type appendFile struct {
+	f   *os.File
+	buf []byte
+}
+
+// runStreams is a run's open stream files, indexed by stream (a nil
+// file is not open).
+type runStreams [numStreams]appendFile
 
 // streamLine is one stored NDJSON stream entry: the cell index plus the
 // caller's marshaled line, stored verbatim so it streams back
-// byte-identical.
+// byte-identical. appendFrame writes the same bytes by hand; the struct
+// is the canonical shape and the decoding fallback.
 type streamLine struct {
 	Cell int             `json:"cell"`
 	Line json.RawMessage `json:"line"`
@@ -50,7 +85,7 @@ type streamLine struct {
 // OpenDisk opens (creating if needed) a disk store rooted at dir and
 // scans existing runs to restore the ID high-water mark.
 func OpenDisk(dir string) (*Disk, error) {
-	d := &Disk{dir: dir, handles: make(map[string]*os.File)}
+	d := &Disk{dir: dir, streams: make(map[string]*runStreams)}
 	if err := os.MkdirAll(d.runsDir(), 0o755); err != nil {
 		return nil, fmt.Errorf("store: open %s: %w", dir, err)
 	}
@@ -104,9 +139,18 @@ func (d *Disk) NewID() (string, int64, error) {
 
 // PutRun writes the record atomically (temp file + rename), creating
 // the run directory if the record arrived from another store instance.
+// The run's buffered stream lines are flushed first; a terminal record
+// also closes the run's stream handles, since nothing appends to a
+// finished run.
 func (d *Disk) PutRun(rec Record) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
+	ferr := d.flushRunLocked(rec.ID)
+	if terminalStatus(rec.Status) {
+		if err := d.closeRunLocked(rec.ID); ferr == nil {
+			ferr = err
+		}
+	}
 	if err := os.MkdirAll(d.runDir(rec.ID), 0o755); err != nil {
 		return err
 	}
@@ -114,7 +158,10 @@ func (d *Disk) PutRun(rec Record) error {
 	if err != nil {
 		return err
 	}
-	return atomicWrite(filepath.Join(d.runDir(rec.ID), "run.json"), raw)
+	if err := atomicWrite(filepath.Join(d.runDir(rec.ID), "run.json"), raw); err != nil {
+		return err
+	}
+	return ferr
 }
 
 // GetRun reads the record for id.
@@ -166,129 +213,306 @@ func (d *Disk) ListRuns() ([]Record, error) {
 	return out, nil
 }
 
-// append writes one tagged line to a run's stream file through the
-// cached handle.
-func (d *Disk) append(id, file string, cell int, line []byte) error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	path := filepath.Join(d.runDir(id), file)
-	f, ok := d.handles[path]
-	if !ok {
-		var err error
-		f, err = os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-		if err != nil {
-			return err
-		}
-		d.handles[path] = f
-	}
-	raw, err := json.Marshal(streamLine{Cell: cell, Line: json.RawMessage(line)})
+// append buffers one tagged line for a run's stream file.
+func (d *Disk) append(id string, s stream, cell int, line []byte) error {
+	framed, err := marshalFrame(cell, line)
 	if err != nil {
 		return err
 	}
-	_, err = f.Write(append(raw, '\n'))
-	return err
-}
-
-// readStream returns a cell's lines from a run's stream file, stopping
-// at the first unparsable (torn) line.
-func (d *Disk) readStream(id, file string, cell int) ([][]byte, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return d.readStreamLocked(id, file, cell)
+	return d.appendLocked(id, s, cell, line, framed)
 }
 
-func (d *Disk) readStreamLocked(id, file string, cell int) ([][]byte, error) {
-	f, err := os.Open(filepath.Join(d.runDir(id), file))
-	if errors.Is(err, fs.ErrNotExist) {
+// marshalFrame returns the stored frame of a line that is not
+// canonical, via json.Marshal — which rejects invalid lines and compacts
+// the rest, exactly the bytes the stored frame must carry. It returns
+// nil for a canonical line, which appendFrame writes directly.
+func marshalFrame(cell int, line []byte) ([]byte, error) {
+	if canonicalLine(line) {
 		return nil, nil
 	}
+	raw, err := json.Marshal(streamLine{Cell: cell, Line: json.RawMessage(line)})
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close()
-	var out [][]byte
-	r := bufio.NewReader(f)
-	for {
-		raw, err := r.ReadBytes('\n')
-		if len(raw) > 0 && raw[len(raw)-1] == '\n' {
-			var sl streamLine
-			if jerr := json.Unmarshal(raw, &sl); jerr != nil {
-				break // torn or corrupt line: treat the rest as truncated
-			}
-			if sl.Cell == cell {
-				out = append(out, []byte(sl.Line))
-			}
-		}
-		if err != nil {
-			break
-		}
-	}
-	return out, nil
+	return append(raw, '\n'), nil
 }
 
-// drop removes a run's stream file (closing its cached handle).
-func (d *Disk) drop(id, file string) error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	path := filepath.Join(d.runDir(id), file)
-	d.closeHandleLocked(path)
-	err := os.Remove(path)
-	if errors.Is(err, fs.ErrNotExist) {
+// appendLocked adds a line (or its pre-marshaled frame) to the stream
+// file's buffer and writes the buffer out once it holds streamBufSize
+// bytes. Caller holds d.mu.
+//
+//ealb:locked(mu)
+func (d *Disk) appendLocked(id string, s stream, cell int, line, framed []byte) error {
+	af, err := d.openLocked(id, s)
+	if err != nil {
+		return err
+	}
+	if framed != nil {
+		af.buf = append(af.buf, framed...)
+	} else {
+		af.buf = appendFrame(af.buf, cell, line)
+	}
+	if len(af.buf) >= streamBufSize {
+		return af.flush()
+	}
+	return nil
+}
+
+// appendFrame appends the stored form of a canonical line: the bytes of
+// json.Marshal(streamLine{cell, line}) plus the newline.
+func appendFrame(b []byte, cell int, line []byte) []byte {
+	b = append(b, `{"cell":`...)
+	b = strconv.AppendInt(b, int64(cell), 10)
+	b = append(b, `,"line":`...)
+	b = append(b, line...)
+	return append(b, "}\n"...)
+}
+
+// canonicalLine reports whether json.Marshal would embed line in a
+// streamLine verbatim: it is valid JSON (the guard Marshal applies to a
+// RawMessage) already in compact, HTML-safe form — no whitespace, no
+// <, > or &, no U+2028/U+2029 — so Marshal's re-compaction is the
+// identity. Lines from json.Marshal or trace.AppendEvent always are; any
+// other line takes the Marshal path. A nil line marshals as null, so it
+// is not canonical either.
+func canonicalLine(line []byte) bool {
+	if line == nil {
+		return false
+	}
+	for i, c := range line {
+		if !recompacted[c] {
+			continue
+		}
+		// U+2028 and U+2029 are E2 80 A8 and E2 80 A9; other runes
+		// starting with E2 are left alone.
+		if c != 0xe2 || i+2 < len(line) && line[i+1] == 0x80 && (line[i+2] == 0xa8 || line[i+2] == 0xa9) {
+			return false
+		}
+	}
+	return validJSON(line)
+}
+
+// recompacted marks the bytes json.Marshal's compaction of a RawMessage
+// may rewrite: whitespace, the HTML-sensitive <, > and &, and the lead
+// byte of U+2028/U+2029.
+var recompacted = func() (t [256]bool) {
+	for _, c := range []byte(" \t\n\r<>&\xe2") {
+		t[c] = true
+	}
+	return t
+}()
+
+// openLocked returns the run's append file for s, opening it (and
+// creating it if missing) on first use. Caller holds d.mu.
+//
+//ealb:locked(mu)
+func (d *Disk) openLocked(id string, s stream) (*appendFile, error) {
+	rs, ok := d.streams[id]
+	if !ok {
+		rs = new(runStreams)
+		d.streams[id] = rs
+	}
+	af := &rs[s]
+	if af.f == nil {
+		f, err := os.OpenFile(filepath.Join(d.runDir(id), streamFiles[s]), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+		if err != nil {
+			return nil, err
+		}
+		af.f = f
+	}
+	return af, nil
+}
+
+// flush writes the buffered lines out. The buffer is emptied even on
+// error: a partial write cannot be retried without duplicating lines.
+func (af *appendFile) flush() error {
+	if len(af.buf) == 0 {
 		return nil
 	}
+	_, err := af.f.Write(af.buf)
+	af.buf = af.buf[:0]
 	return err
 }
 
-// closeHandleLocked evicts one cached append handle. Caller holds d.mu.
+// flushRunLocked writes out every buffered line of the run's streams.
+// Caller holds d.mu.
 //
 //ealb:locked(mu)
-func (d *Disk) closeHandleLocked(path string) {
-	if f, ok := d.handles[path]; ok {
-		f.Close()
-		delete(d.handles, path)
+func (d *Disk) flushRunLocked(id string) error {
+	rs, ok := d.streams[id]
+	if !ok {
+		return nil
 	}
+	var first error
+	for s := range rs {
+		if err := rs[s].flush(); err != nil && first == nil {
+			first = err
+		}
+	}
+	return first
+}
+
+// close flushes and closes the file, leaving af not open.
+func (af *appendFile) close() error {
+	if af.f == nil {
+		return nil
+	}
+	err := af.flush()
+	if cerr := af.f.Close(); err == nil {
+		err = cerr
+	}
+	*af = appendFile{}
+	return err
+}
+
+// closeStreamLocked flushes and closes one of the run's stream files and
+// forgets the run once none is open. Caller holds d.mu.
+//
+//ealb:locked(mu)
+func (d *Disk) closeStreamLocked(id string, s stream) error {
+	rs, ok := d.streams[id]
+	if !ok {
+		return nil
+	}
+	err := rs[s].close()
+	for _, af := range rs {
+		if af.f != nil {
+			return err
+		}
+	}
+	delete(d.streams, id)
+	return err
+}
+
+// closeRunLocked flushes, closes and forgets all of the run's stream
+// files. Caller holds d.mu.
+//
+//ealb:locked(mu)
+func (d *Disk) closeRunLocked(id string) error {
+	rs, ok := d.streams[id]
+	if !ok {
+		return nil
+	}
+	var first error
+	for s := range rs {
+		if err := rs[s].close(); err != nil && first == nil {
+			first = err
+		}
+	}
+	delete(d.streams, id)
+	return first
+}
+
+// readFile returns a stream file's current contents — the run's buffered
+// lines flushed first — copied under the lock so callers parse it
+// without holding d.mu. A missing file reads as empty.
+func (d *Disk) readFile(id string, s stream) ([]byte, error) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if err := d.flushRunLocked(id); err != nil {
+		return nil, err
+	}
+	raw, err := os.ReadFile(filepath.Join(d.runDir(id), streamFiles[s]))
+	if errors.Is(err, fs.ErrNotExist) {
+		return nil, nil
+	}
+	return raw, err
+}
+
+// readStream returns a cell's lines from a run's stream file, stopping
+// at the first unparsable (torn) line. The file is parsed outside d.mu,
+// and the cell's lines are copied into one compact buffer so the
+// result does not pin the whole file.
+func (d *Disk) readStream(id string, s stream, cell int) ([][]byte, error) {
+	raw, err := d.readFile(id, s)
+	if err != nil || raw == nil {
+		return nil, err
+	}
+	var lines [][]byte
+	size := 0
+	scanStream(raw, func(c int, line, _ []byte) {
+		if c == cell {
+			lines = append(lines, line)
+			size += len(line)
+		}
+	})
+	buf := make([]byte, 0, size)
+	for i, line := range lines {
+		buf = append(buf, line...)
+		lines[i] = buf[len(buf)-len(line) : len(buf) : len(buf)]
+	}
+	return lines, nil
+}
+
+// drop removes a run's stream file (flushing the run's other buffers and
+// closing the file's handle first).
+func (d *Disk) drop(id string, s stream) error {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	ferr := d.flushRunLocked(id)
+	if err := d.closeStreamLocked(id, s); ferr == nil {
+		ferr = err
+	}
+	err := os.Remove(filepath.Join(d.runDir(id), streamFiles[s]))
+	if errors.Is(err, fs.ErrNotExist) {
+		return ferr
+	}
+	if err != nil {
+		return err
+	}
+	return ferr
 }
 
 // AppendInterval appends one interval line to a cell's stream.
 func (d *Disk) AppendInterval(id string, cell int, line []byte) error {
-	return d.append(id, "intervals.ndjson", cell, line)
+	return d.append(id, intervalsStream, cell, line)
 }
 
 // Intervals returns a cell's interval lines.
 func (d *Disk) Intervals(id string, cell int) ([][]byte, error) {
-	return d.readStream(id, "intervals.ndjson", cell)
+	return d.readStream(id, intervalsStream, cell)
 }
 
 // DropIntervals discards the run's interval streams.
-func (d *Disk) DropIntervals(id string) error { return d.drop(id, "intervals.ndjson") }
+func (d *Disk) DropIntervals(id string) error { return d.drop(id, intervalsStream) }
 
 // AppendTrace appends one decision-event line to a cell's trace.
 func (d *Disk) AppendTrace(id string, cell int, line []byte) error {
-	return d.append(id, "trace.ndjson", cell, line)
+	return d.append(id, traceStream, cell, line)
 }
 
 // Trace returns a cell's trace lines.
 func (d *Disk) Trace(id string, cell int) ([][]byte, error) {
-	return d.readStream(id, "trace.ndjson", cell)
+	return d.readStream(id, traceStream, cell)
 }
 
 // TruncateIntervals rewrites the interval stream keeping only cells
 // keep accepts.
 func (d *Disk) TruncateIntervals(id string, keep func(cell int) bool) error {
-	return d.truncateStream(id, "intervals.ndjson", keep)
+	return d.truncateStream(id, intervalsStream, keep)
 }
 
 // TruncateTrace rewrites the trace keeping only cells keep accepts.
 func (d *Disk) TruncateTrace(id string, keep func(cell int) bool) error {
-	return d.truncateStream(id, "trace.ndjson", keep)
+	return d.truncateStream(id, traceStream, keep)
 }
 
-// truncateStream rewrites a stream file keeping only cells keep accepts.
-func (d *Disk) truncateStream(id, file string, keep func(cell int) bool) error {
+// truncateStream rewrites a stream file keeping only cells keep
+// accepts, up to the first unparsable line. The run's buffers are
+// flushed and the file's handle closed first: the rewrite replaces the
+// file the handle points at.
+func (d *Disk) truncateStream(id string, s stream, keep func(cell int) bool) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	path := filepath.Join(d.runDir(id), file)
-	d.closeHandleLocked(path)
+	if err := d.flushRunLocked(id); err != nil {
+		return err
+	}
+	if err := d.closeStreamLocked(id, s); err != nil {
+		return err
+	}
+	path := filepath.Join(d.runDir(id), streamFiles[s])
 	raw, err := os.ReadFile(path)
 	if errors.Is(err, fs.ErrNotExist) {
 		return nil
@@ -296,57 +520,47 @@ func (d *Disk) truncateStream(id, file string, keep func(cell int) bool) error {
 	if err != nil {
 		return err
 	}
-	var kept bytes.Buffer
-	for _, line := range bytes.Split(raw, []byte("\n")) {
-		if len(line) == 0 {
-			continue
+	kept := make([]byte, 0, len(raw))
+	scanStream(raw, func(cell int, _, frame []byte) {
+		if keep(cell) {
+			kept = append(kept, frame...)
 		}
-		var sl streamLine
-		if err := json.Unmarshal(line, &sl); err != nil {
-			break // torn tail
-		}
-		if keep(sl.Cell) {
-			kept.Write(line)
-			kept.WriteByte('\n')
-		}
-	}
-	return atomicWrite(path, kept.Bytes())
+	})
+	return atomicWrite(path, kept)
 }
 
-// PutCell appends a completed cell checkpoint.
+// PutCell appends a completed cell checkpoint. The run's buffered
+// interval and trace lines are written out before the checkpoint line,
+// and the checkpoint itself before PutCell returns, so a checkpointed
+// cell's streams are always complete on disk.
 func (d *Disk) PutCell(id string, c CellResult) error {
-	return d.append(id, "cells.ndjson", c.Cell, c.Result)
+	framed, err := marshalFrame(c.Cell, c.Result)
+	if err != nil {
+		return err
+	}
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if err := d.flushRunLocked(id); err != nil {
+		return err
+	}
+	if err := d.appendLocked(id, cellsStream, c.Cell, c.Result, framed); err != nil {
+		return err
+	}
+	return d.flushRunLocked(id)
 }
 
 // Cells returns the run's checkpoints. A cell checkpointed twice (a
 // resumed run re-running a cell whose checkpoint line was torn) keeps
 // the latest line.
 func (d *Disk) Cells(id string) ([]CellResult, error) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	f, err := os.Open(filepath.Join(d.runDir(id), "cells.ndjson"))
-	if errors.Is(err, fs.ErrNotExist) {
-		return nil, nil
-	}
-	if err != nil {
+	raw, err := d.readFile(id, cellsStream)
+	if err != nil || raw == nil {
 		return nil, err
 	}
-	defer f.Close()
 	byCell := make(map[int]CellResult)
-	r := bufio.NewReader(f)
-	for {
-		raw, err := r.ReadBytes('\n')
-		if len(raw) > 0 && raw[len(raw)-1] == '\n' {
-			var sl streamLine
-			if jerr := json.Unmarshal(raw, &sl); jerr != nil {
-				break
-			}
-			byCell[sl.Cell] = CellResult{Cell: sl.Cell, Result: []byte(sl.Line)}
-		}
-		if err != nil {
-			break
-		}
-	}
+	scanStream(raw, func(cell int, line, _ []byte) {
+		byCell[cell] = CellResult{Cell: cell, Result: line}
+	})
 	out := make([]CellResult, 0, len(byCell))
 	//ealb:allow-nondet iteration order erased by the cell sort below
 	for _, c := range byCell {
@@ -357,7 +571,7 @@ func (d *Disk) Cells(id string) ([]CellResult, error) {
 }
 
 // DropCells discards the run's checkpoints.
-func (d *Disk) DropCells(id string) error { return d.drop(id, "cells.ndjson") }
+func (d *Disk) DropCells(id string) error { return d.drop(id, cellsStream) }
 
 // Claim acquires or renews the run's lease for owner.
 func (d *Disk) Claim(id, owner string, ttl time.Duration) (bool, error) {
@@ -411,17 +625,16 @@ func (d *Disk) Release(id, owner string) error {
 	return err
 }
 
-// Close closes every cached stream handle.
+// Close flushes and closes every open stream file.
 func (d *Disk) Close() error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	var first error
 	//ealb:allow-nondet handle close order is irrelevant
-	for path, f := range d.handles {
-		if err := f.Close(); err != nil && first == nil {
+	for id := range d.streams {
+		if err := d.closeRunLocked(id); err != nil && first == nil {
 			first = err
 		}
-		delete(d.handles, path)
 	}
 	return first
 }
