@@ -311,7 +311,7 @@ type (
 	// every job derives its own random streams from its seed and results
 	// land in order-preserving slots.
 	Engine = engine.Pool
-	// EngineStats is a snapshot of an engine's run/energy counters.
+	// EngineStats is a snapshot of an engine's job/energy counters.
 	EngineStats = engine.Stats
 	// Scenario is a JSON-friendly description of one simulation request:
 	// a cluster protocol run or a policy-farm comparison driven by a

@@ -36,7 +36,6 @@ import (
 	"fmt"
 
 	"ealb/internal/app"
-	"ealb/internal/eventsim"
 	"ealb/internal/migration"
 	"ealb/internal/netsim"
 	"ealb/internal/power"
@@ -260,7 +259,7 @@ func (c Config) Validate() error {
 }
 
 // Cluster is one simulated cluster plus its leader state. Its storage —
-// servers, the network fabric, the event kernel, the app/VM arenas, and
+// servers, the network fabric, the pending-wake list, the app/VM arenas, and
 // every leader-side dense slice — persists across Rebuilds, so a sweep
 // worker reuses one Cluster's allocations for every cell it simulates.
 type Cluster struct {
@@ -275,13 +274,15 @@ type Cluster struct {
 	rng    *xrand.Rand
 	appGen *app.Generator
 	ledger *scaling.Ledger
-	sim    *eventsim.Simulator
 
 	now      units.Seconds
 	interval int
-	// wakesCompleted counts wake transitions whose completion event has
-	// fired (a woken server is only usable once its setup finishes).
+	// wakesCompleted counts wake transitions whose setup has finished
+	// (a woken server is only usable once its setup finishes).
 	wakesCompleted int
+	// wakesPending lists the wake transitions still in flight, in the
+	// order they started (see completeWakes).
+	wakesPending []pendingWake
 
 	// leader owns the protocol's persistent streaks and all plan-time
 	// scratch (see leader.go) — planpure scratch: writes through it are
@@ -321,11 +322,6 @@ type Cluster struct {
 	failAt   []units.Seconds
 	repairAt []units.Seconds
 
-	// wakeEvents holds each server's pending wake-completion event so a
-	// crash mid-wake can cancel it (a crashed server never finishes its
-	// setup). Zero Handles are armed-nothing.
-	wakeEvents []eventsim.Handle
-
 	// Arenas and scratch buffers reused across Rebuilds and intervals.
 	appArena    arena[app.App]
 	vmArena     arena[vm.VM]
@@ -347,7 +343,7 @@ func New(cfg Config) (*Cluster, error) {
 // Rebuild re-seeds the cluster in place for cfg, producing a state
 // bit-identical to New(cfg) while reusing the receiver's allocations:
 // servers are Reset rather than reconstructed, applications and VMs come
-// from per-cluster arenas, and the network, ledger, event kernel, and
+// from per-cluster arenas, and the network, ledger, pending wakes, and
 // leader state are cleared in place. It is the engine's arena path for
 // sweeps that simulate many cells per worker.
 //
@@ -390,14 +386,10 @@ func (c *Cluster) Rebuild(cfg Config) error {
 	} else {
 		c.ledger.Reset()
 	}
-	if c.sim == nil {
-		c.sim = eventsim.New()
-	} else {
-		c.sim.Reset()
-	}
 	c.now = 0
 	c.interval = 0
 	c.wakesCompleted = 0
+	c.wakesPending = c.wakesPending[:0]
 	c.migrationEnergy = 0
 	c.migrations = 0
 	c.intervalMigrations = 0
@@ -416,8 +408,6 @@ func (c *Cluster) Rebuild(cfg Config) error {
 	c.repairAt = resize(c.repairAt, cfg.Size)
 	clear(c.failAt)
 	clear(c.repairAt)
-	c.wakeEvents = resize(c.wakeEvents, cfg.Size)
-	clear(c.wakeEvents)
 	c.seedChurn()
 	c.leader.init(cfg.Size)
 	if c.leader.donorCmp == nil {

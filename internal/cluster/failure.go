@@ -2,8 +2,8 @@ package cluster
 
 import (
 	"fmt"
+	"slices"
 
-	"ealb/internal/eventsim"
 	"ealb/internal/scaling"
 	"ealb/internal/server"
 	"ealb/internal/trace"
@@ -40,10 +40,9 @@ func (c *Cluster) FailServer(id server.ID) (replaced, lost int, err error) {
 		return 0, 0, err
 	}
 	// A crash mid-wake also never completes its setup: drop the pending
-	// wake-completion event so WakesCompleted does not count a server
-	// that died before coming up.
-	c.wakeEvents[id].Cancel()
-	c.wakeEvents[id] = eventsim.Handle{}
+	// wake so WakesCompleted does not count a server that died before
+	// coming up.
+	c.wakesPending = slices.DeleteFunc(c.wakesPending, func(w pendingWake) bool { return w.id == id })
 	c.failed[id] = true
 	c.failedCount++
 	c.failures++

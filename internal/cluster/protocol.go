@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"time"
 
-	"ealb/internal/eventsim"
 	"ealb/internal/migration"
 	"ealb/internal/netsim"
 	"ealb/internal/regime"
@@ -80,9 +79,10 @@ const candidateSample = 32
 const maxShedsPerDonor = 5
 
 // RunIntervals advances the simulation by n reallocation intervals and
-// returns per-interval statistics. The intervals run as ticker events on
-// the discrete-event kernel, interleaved with any pending asynchronous
-// events (wake-transition completions scheduled by earlier intervals).
+// returns per-interval statistics. Interval k ends at the start time plus
+// τ added k times (step by step, so timestamps match a running clock).
+// Before each interval, and once more after the last, every wake-up whose
+// setup has finished by then completes (see completeWakes).
 //
 // The context is checked between intervals: cancelling it stops the
 // simulation at the next interval boundary and returns ctx.Err() together
@@ -103,28 +103,46 @@ func (c *Cluster) RunIntervals(ctx context.Context, n int) ([]IntervalStats, err
 		ctx = context.Background()
 	}
 	out := make([]IntervalStats, 0, n)
-	var runErr error
-	end := c.now + units.Seconds(n)*c.cfg.Tau
-	tick := c.sim.Every(c.now+c.cfg.Tau, c.cfg.Tau, func(now units.Seconds) {
+	now := c.now
+	for i := 0; i < n; i++ {
+		now += c.cfg.Tau
+		c.completeWakes(now)
 		if err := ctx.Err(); err != nil {
-			runErr = err
-			c.sim.Stop()
-			return
+			return out, err
 		}
 		st, err := c.runInterval(now)
 		if err != nil {
-			runErr = err
-			c.sim.Stop()
-			return
+			return out, err
 		}
 		out = append(out, st)
 		if c.cfg.OnInterval != nil {
 			c.cfg.OnInterval(st)
 		}
-	})
-	c.sim.RunUntil(end)
-	tick.Stop()
-	return out, runErr
+	}
+	c.completeWakes(now)
+	return out, nil
+}
+
+// pendingWake is a wake-up whose setup is still in flight.
+type pendingWake struct {
+	id    server.ID
+	ready units.Seconds
+}
+
+// completeWakes counts every pending wake-up ready by t as completed. A
+// wake started in an interval is always ready after that interval's end
+// (setup takes time), so it completes before the first later interval
+// that ends at or after its ready time.
+func (c *Cluster) completeWakes(t units.Seconds) {
+	kept := c.wakesPending[:0]
+	for _, w := range c.wakesPending {
+		if w.ready <= t {
+			c.wakesCompleted++
+			continue
+		}
+		kept = append(kept, w)
+	}
+	c.wakesPending = kept
 }
 
 // runInterval executes one full reallocation interval at its end time
@@ -554,14 +572,8 @@ func (c *Cluster) applyBalance(plan *balancePlan) error {
 			c.totalWakes++
 			// The setup completes asynchronously — possibly several
 			// reallocation intervals later for a C6 wake (260 s vs
-			// τ = 60 s). The handle is kept per server so a crash
-			// mid-wake cancels the completion.
-			id := a.src
-			//ealb:allow-alloc wakes are rare at steady state (the sleep policy damps them), so the completion closure is off the per-interval fast path
-			c.wakeEvents[id] = c.sim.Schedule(ready, func(units.Seconds) {
-				c.wakesCompleted++
-				c.wakeEvents[id] = eventsim.Handle{}
-			})
+			// τ = 60 s). A crash mid-wake drops the pending entry.
+			c.wakesPending = append(c.wakesPending, pendingWake{id: a.src, ready: ready})
 			if tr != nil {
 				c.emit(trace.Event{Kind: trace.KindWake, Src: int(a.src), Dst: -1, App: -1})
 			}

@@ -23,24 +23,17 @@ func TestArenaReuseIsInvisible(t *testing.T) {
 	}
 
 	p := NewPool(1)
-	jobs := []ClusterJob{
-		// A differently-shaped job first, so the reference job's arena
-		// cluster is a rebuild from foreign state, not a fresh build.
-		{Size: 120, Band: workload.HighLoad(), Seed: 9, Intervals: 6},
-		{Size: 80, Band: workload.LowLoad(), Seed: 5, Intervals: 12},
-		{Size: 80, Band: workload.LowLoad(), Seed: 5, Intervals: 12},
-	}
-	runs, err := p.SweepCluster(context.Background(), jobs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, i := range []int{1, 2} {
-		got, err := json.Marshal(runs[i])
+	// A differently-shaped cell first, so the reference cells' arena
+	// cluster is a rebuild from foreign state, not a fresh build.
+	sweepRuns(t, p, SweepSpec{Scenario: Scenario{Size: 120, Band: "high", Seed: SeedOf(9), Intervals: 6}})
+	runs := sweepRuns(t, p, SweepSpec{Scenario: Scenario{Size: 80, Band: "low", Intervals: 12}, Seeds: []uint64{5, 5}})
+	for i, run := range runs {
+		got, err := json.Marshal(run)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if string(got) != string(want) {
-			t.Errorf("arena-reused job %d diverged from direct RunCluster", i)
+			t.Errorf("arena-reused cell %d diverged from direct RunCluster", i)
 		}
 	}
 

@@ -2,10 +2,8 @@ package engine
 
 import (
 	"context"
-	"fmt"
 
 	"ealb/internal/cluster"
-	"ealb/internal/trace"
 	"ealb/internal/workload"
 )
 
@@ -140,63 +138,4 @@ func (r ClusterRun) Crossover() int {
 		}
 	}
 	return len(r.Stats)
-}
-
-// ClusterJob is one entry of a cluster sweep.
-type ClusterJob struct {
-	Size      int
-	Band      workload.Band
-	Seed      uint64
-	Intervals int
-	// Mutate optionally adjusts the derived cluster.Config before the
-	// simulation is built (how ablations change one knob at a time).
-	Mutate func(*cluster.Config)
-	// Observe, when non-nil, receives every completed interval's
-	// statistics while the job is still running (wired to the scenario
-	// service's live tail). It is called from the worker goroutine
-	// executing this job, so it must be safe for concurrent use across
-	// jobs.
-	Observe func(cluster.IntervalStats)
-	// Tracer, when non-nil, receives the job's decision events and phase
-	// timings (see the trace package's determinism contract). Like
-	// Observe, it runs on the worker goroutine executing this job.
-	Tracer trace.Tracer
-}
-
-// SweepCluster executes every job across the pool and returns the runs in
-// job order. Because each job owns its RNG and writes only its own slot,
-// the returned slice is byte-identical to running the jobs serially.
-// Cancelling the context stops running simulations at their next interval
-// and fails jobs that have not started.
-func (p *Pool) SweepCluster(ctx context.Context, jobs []ClusterJob) ([]ClusterRun, error) {
-	out := make([]ClusterRun, len(jobs))
-	err := p.Map(ctx, len(jobs), func(i int) error {
-		j := jobs[i]
-		mutate := j.Mutate
-		if j.Observe != nil || j.Tracer != nil {
-			mutate = func(c *cluster.Config) {
-				if j.Mutate != nil {
-					j.Mutate(c)
-				}
-				if j.Observe != nil {
-					c.OnInterval = j.Observe
-				}
-				c.Tracer = j.Tracer
-			}
-		}
-		run, err := p.runClusterArena(ctx, j.Size, j.Band, j.Seed, j.Intervals, mutate)
-		if err != nil {
-			return fmt.Errorf("engine: sweep job %d (size=%d band=%v seed=%d): %w",
-				i, j.Size, j.Band, j.Seed, err)
-		}
-		out[i] = run
-		p.addJoules(run.Energy)
-		p.addIntervals(uint64(len(run.Stats)))
-		p.addResilience(run.Failures, run.AppsLost)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
 }

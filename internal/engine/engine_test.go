@@ -15,32 +15,38 @@ import (
 	"ealb/internal/workload"
 )
 
-// sweepJobs is a small but non-trivial panel sweep: two sizes, both
+// panelSweep is a small but non-trivial panel sweep: two sizes, both
 // bands, two seeds.
-func sweepJobs() []ClusterJob {
-	var jobs []ClusterJob
-	for _, size := range []int{40, 60} {
-		for _, band := range []workload.Band{workload.LowLoad(), workload.HighLoad()} {
-			for _, seed := range []uint64{DefaultSeed, DefaultSeed + 1} {
-				jobs = append(jobs, ClusterJob{Size: size, Band: band, Seed: seed, Intervals: 8})
-			}
-		}
+func panelSweep() SweepSpec {
+	return SweepSpec{
+		Scenario: Scenario{Intervals: 8},
+		Sizes:    []int{40, 60},
+		Bands:    []string{"low", "high"},
+		Seeds:    []uint64{DefaultSeed, DefaultSeed + 1},
 	}
-	return jobs
+}
+
+// sweepRuns runs spec on p and returns its cells' cluster runs in
+// expansion order.
+func sweepRuns(t *testing.T, p *Pool, spec SweepSpec) []ClusterRun {
+	t.Helper()
+	res, err := p.RunSweep(context.Background(), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runs := make([]ClusterRun, len(res.Cells))
+	for i, cell := range res.Cells {
+		runs[i] = *cell.Cluster
+	}
+	return runs
 }
 
 // TestParallelSweepMatchesSerial is the engine's core guarantee: the same
 // sweep on one worker and on many workers yields byte-identical results.
 func TestParallelSweepMatchesSerial(t *testing.T) {
-	serial, err := NewPool(1).SweepCluster(context.Background(), sweepJobs())
-	if err != nil {
-		t.Fatal(err)
-	}
+	serial := sweepRuns(t, NewPool(1), panelSweep())
 	for _, workers := range []int{2, 4, 8} {
-		parallel, err := NewPool(workers).SweepCluster(context.Background(), sweepJobs())
-		if err != nil {
-			t.Fatal(err)
-		}
+		parallel := sweepRuns(t, NewPool(workers), panelSweep())
 		if !reflect.DeepEqual(serial, parallel) {
 			t.Fatalf("sweep on %d workers differs from serial sweep", workers)
 		}
@@ -54,10 +60,9 @@ func TestParallelSweepMatchesSerial(t *testing.T) {
 
 func TestSweepAccountsEnergy(t *testing.T) {
 	p := NewPool(2)
-	runs, err := p.SweepCluster(context.Background(), sweepJobs()[:2])
-	if err != nil {
-		t.Fatal(err)
-	}
+	spec := panelSweep()
+	spec.Sizes, spec.Bands = spec.Sizes[:1], spec.Bands[:1]
+	runs := sweepRuns(t, p, spec)
 	var want float64
 	for _, r := range runs {
 		want += r.Energy
@@ -151,7 +156,7 @@ func TestRunScenarioClusterDefaults(t *testing.T) {
 	if res.JoulesSaved != res.AlwaysOnJoules-res.Cluster.Energy {
 		t.Errorf("JoulesSaved = %v, want %v", res.JoulesSaved, res.AlwaysOnJoules-res.Cluster.Energy)
 	}
-	if st := p.Stats(); st.RunsCompleted != 1 || st.JoulesSaved != res.JoulesSaved {
+	if st := p.Stats(); st.JobsCompleted != 2 || st.JoulesSaved != res.JoulesSaved {
 		t.Errorf("pool counters: %+v", st)
 	}
 }

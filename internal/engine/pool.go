@@ -12,7 +12,7 @@
 // Three layers are exposed:
 //
 //   - Pool, a bounded worker pool with an order-preserving, context-aware
-//     Map primitive and atomic run/energy counters (the engine's
+//     Map primitive and atomic job/energy counters (the engine's
 //     observability surface, exported by ealb-serve's /metrics endpoint);
 //   - Scenario/Result, a JSON-friendly description of one simulation
 //     request (cluster protocol run or §3 policy-farm comparison)
@@ -54,10 +54,6 @@ type Pool struct {
 	jobsCompleted atomic.Uint64
 	jobsFailed    atomic.Uint64
 
-	runsStarted   atomic.Uint64
-	runsCompleted atomic.Uint64
-	runsFailed    atomic.Uint64
-
 	intervalsSimulated atomic.Uint64 // reallocation intervals completed by cluster jobs
 
 	clusterFailures atomic.Uint64 // server failures injected by completed cluster/farm jobs
@@ -96,8 +92,8 @@ func NewPool(workers int) *Pool {
 func (p *Pool) Workers() int { return p.workers }
 
 // Stats is a point-in-time snapshot of the pool's counters. Jobs are
-// individual simulations; runs are whole scenarios (a scenario with a
-// baseline comparison spends two jobs).
+// individual simulations (a scenario with a baseline comparison spends
+// two jobs).
 type Stats struct {
 	Workers       int
 	JobsSubmitted uint64
@@ -105,9 +101,6 @@ type Stats struct {
 	JobsCompleted uint64
 	JobsFailed    uint64
 	QueueDepth    uint64 // submitted but not yet started
-	RunsStarted   uint64
-	RunsCompleted uint64
-	RunsFailed    uint64
 	// IntervalsSimulated counts reallocation intervals completed by
 	// cluster jobs — the engine's unit of simulation throughput (a rate
 	// over it is intervals/second, the number the leader-state refactor
@@ -140,9 +133,6 @@ func (p *Pool) Stats() Stats {
 		JobsStarted:        p.jobsStarted.Load(),
 		JobsCompleted:      p.jobsCompleted.Load(),
 		JobsFailed:         p.jobsFailed.Load(),
-		RunsStarted:        p.runsStarted.Load(),
-		RunsCompleted:      p.runsCompleted.Load(),
-		RunsFailed:         p.runsFailed.Load(),
 		IntervalsSimulated: p.intervalsSimulated.Load(),
 		ClusterFailures:    p.clusterFailures.Load(),
 		ClusterAppsLost:    p.clusterAppsLost.Load(),

@@ -370,7 +370,7 @@ func (p *Pool) RunScenario(ctx context.Context, s Scenario) (Result, error) {
 		spec:  SweepSpec{Scenario: Scenario{Kind: s.Kind}},
 		cells: []Scenario{s},
 	}
-	res, err := p.RunExpanded(ctx, ex, nil)
+	res, err := p.RunExpandedHooked(ctx, ex, RunHooks{})
 	if err != nil {
 		return Result{}, err
 	}

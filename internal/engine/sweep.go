@@ -107,8 +107,8 @@ func (sp SweepSpec) axisConflicts() error {
 
 // ExpandedSweep is a validated sweep: the normalized spec plus its
 // cross-product cells in deterministic order. Produced by
-// SweepSpec.Expand and executed with (*Pool).RunExpanded; the fields are
-// unexported so the cells always match the spec.
+// SweepSpec.Expand and executed with (*Pool).RunExpandedHooked; the
+// fields are unexported so the cells always match the spec.
 type ExpandedSweep struct {
 	spec  SweepSpec
 	cells []Scenario
@@ -349,52 +349,31 @@ type SweepResult struct {
 // slot. Cancelling the context stops running simulations at their next
 // interval and fails unstarted cells promptly.
 func (p *Pool) RunSweep(ctx context.Context, spec SweepSpec) (SweepResult, error) {
-	return p.RunSweepObserved(ctx, spec, nil)
-}
-
-// RunSweepObserved is RunSweep with a live interval observer: observe
-// (when non-nil) receives every completed interval of every cluster or
-// farm cell — a cluster.IntervalStats or farm.IntervalStats value,
-// matching the sweep kind — identified by the cell's expansion index,
-// while the sweep is still running. It is called from worker goroutines
-// and must be safe for concurrent use. Baseline comparison runs are not
-// observed.
-func (p *Pool) RunSweepObserved(ctx context.Context, spec SweepSpec, observe func(cell int, st any)) (SweepResult, error) {
 	ex, err := spec.Expand()
 	if err != nil {
 		return SweepResult{}, err
 	}
-	return p.RunExpanded(ctx, ex, observe)
-}
-
-// RunExpanded executes an already-expanded sweep, so callers that
-// expanded the spec for validation (the HTTP service does, on submit)
-// need not pay for a second expansion.
-func (p *Pool) RunExpanded(ctx context.Context, ex ExpandedSweep, observe func(cell int, st any)) (SweepResult, error) {
-	return p.RunExpandedTraced(ctx, ex, observe, nil)
-}
-
-// RunExpandedTraced is RunExpanded with decision tracing: tracerFor
-// (when non-nil) is consulted once per cluster or farm cell and may
-// return a per-cell tracer — nil to leave that cell untraced — which
-// receives the cell's decision events and phase timings while it runs.
-// Like observe, returned tracers are driven from worker goroutines and
-// must be safe for concurrent use. Tracing is strictly observational:
-// traced results are byte-identical to untraced ones (the engine's
-// trace invariance tests pin this against the golden digests). Policy
-// cells and baseline-comparison runs are never traced.
-func (p *Pool) RunExpandedTraced(ctx context.Context, ex ExpandedSweep, observe func(cell int, st any), tracerFor func(cell int) trace.Tracer) (SweepResult, error) {
-	return p.RunExpandedHooked(ctx, ex, RunHooks{Observe: observe, TracerFor: tracerFor})
+	return p.RunExpandedHooked(ctx, ex, RunHooks{})
 }
 
 // RunHooks customizes RunExpandedHooked. All cell indices refer to the
 // expansion order of the full sweep, even when Completed skips cells.
 type RunHooks struct {
 	// Observe, when non-nil, receives every completed interval of every
-	// cluster or farm cell while the sweep runs (see RunSweepObserved).
+	// cluster or farm cell while the sweep runs — a cluster.IntervalStats
+	// or farm.IntervalStats value, matching the sweep kind. It is called
+	// from worker goroutines and must be safe for concurrent use.
+	// Baseline comparison runs are not observed.
 	Observe func(cell int, st any)
-	// TracerFor, when non-nil, supplies per-cell decision tracers (see
-	// RunExpandedTraced).
+	// TracerFor, when non-nil, is consulted once per cluster or farm cell
+	// and may return a per-cell tracer — nil to leave that cell untraced
+	// — which receives the cell's decision events and phase timings while
+	// it runs. Like Observe, returned tracers are driven from worker
+	// goroutines and must be safe for concurrent use. Tracing is strictly
+	// observational: traced results are byte-identical to untraced ones
+	// (the engine's trace invariance tests pin this against the golden
+	// digests). Policy cells and baseline-comparison runs are never
+	// traced.
 	TracerFor func(cell int) trace.Tracer
 	// CellDone, when non-nil, is called once per executed cell as soon as
 	// the cell's Result is fully assembled — for cluster cells with a
@@ -413,30 +392,22 @@ type RunHooks struct {
 	Completed map[int]Result
 }
 
-// RunExpandedHooked is the general form of RunExpandedTraced: an
-// expanded sweep plus per-cell completion hooks and optional resumption
-// from checkpointed cells.
+// RunExpandedHooked executes an already-expanded sweep — callers that
+// expanded the spec for validation (the HTTP service does, on submit)
+// need not pay for a second expansion — with optional live hooks and
+// resumption from checkpointed cells.
+//
+// Cluster cells flatten into one pool-level job list (nesting Map calls
+// would deadlock a saturated pool); policy cells flatten into one job
+// per (cell, policy) pair; farm cells run one after another, each
+// fanning its clusters out across the pool per interval. Cells found in
+// h.Completed are skipped: the remaining cells run as a compact
+// sub-sweep whose hooks are remapped back to original expansion indices,
+// and the checkpointed results merge in before aggregation (a pure
+// function of the full cell slice, so a resumed sweep aggregates
+// identically).
 func (p *Pool) RunExpandedHooked(ctx context.Context, ex ExpandedSweep, h RunHooks) (SweepResult, error) {
-	p.runsStarted.Add(1)
-	res, err := p.runSweep(ctx, ex.spec, ex.cells, h)
-	if err != nil {
-		p.runsFailed.Add(1)
-		return SweepResult{}, err
-	}
-	p.runsCompleted.Add(1)
-	return res, nil
-}
-
-// runSweep executes the expanded cells. Cluster cells flatten into one
-// pool-level job list (nesting Map calls would deadlock a saturated
-// pool); policy cells flatten into one job per (cell, policy) pair;
-// farm cells run one after another, each fanning its clusters out
-// across the pool per interval. Cells found in h.Completed are skipped:
-// the remaining cells run as a compact sub-sweep whose hooks are
-// remapped back to original expansion indices, and the checkpointed
-// results merge in before aggregation (a pure function of the full cell
-// slice, so a resumed sweep aggregates identically).
-func (p *Pool) runSweep(ctx context.Context, spec SweepSpec, cells []Scenario, h RunHooks) (SweepResult, error) {
+	spec, cells := ex.spec, ex.cells
 	full := make([]Result, len(cells))
 	pending := cells
 	pendingResults := full
@@ -484,12 +455,17 @@ func (p *Pool) runSweep(ctx context.Context, spec SweepSpec, cells []Scenario, h
 }
 
 func (p *Pool) runClusterCells(ctx context.Context, cells []Scenario, results []Result, h RunHooks) error {
-	type slot struct {
+	// One job per cell, plus one for its always-on baseline when the
+	// cell compares against it. The baseline inherits the cell's churn
+	// so the savings comparison stays apples-to-apples under failures.
+	type job struct {
 		cell     int
 		baseline bool
+		band     workload.Band
+		sleep    cluster.SleepPolicy
+		tracer   trace.Tracer
 	}
-	var jobs []ClusterJob
-	var slots []slot
+	var jobs []job
 	for ci, cell := range cells {
 		band, err := ParseBand(cell.Band)
 		if err != nil {
@@ -499,27 +475,13 @@ func (p *Pool) runClusterCells(ctx context.Context, cells []Scenario, results []
 		if err != nil {
 			return err
 		}
-		job := ClusterJob{
-			Size: cell.Size, Band: band, Seed: cell.SeedValue(), Intervals: cell.Intervals,
-			Mutate: func(c *cluster.Config) { c.Sleep = sleep; cell.applyChurn(c) },
-		}
-		if h.Observe != nil {
-			ci := ci
-			job.Observe = func(st cluster.IntervalStats) { h.Observe(ci, st) }
-		}
+		main := job{cell: ci, band: band, sleep: sleep}
 		if h.TracerFor != nil {
-			job.Tracer = h.TracerFor(ci)
+			main.tracer = h.TracerFor(ci)
 		}
-		jobs = append(jobs, job)
-		slots = append(slots, slot{cell: ci})
+		jobs = append(jobs, main)
 		if cell.CompareBaseline {
-			// The baseline inherits the cell's churn so the savings
-			// comparison stays apples-to-apples under failures.
-			jobs = append(jobs, ClusterJob{
-				Size: cell.Size, Band: band, Seed: cell.SeedValue(), Intervals: cell.Intervals,
-				Mutate: func(c *cluster.Config) { c.Sleep = cluster.SleepNever; cell.applyChurn(c) },
-			})
-			slots = append(slots, slot{cell: ci, baseline: true})
+			jobs = append(jobs, job{cell: ci, baseline: true, band: band, sleep: cluster.SleepNever})
 		}
 	}
 	// A cell completes when its last job does — two jobs with a baseline
@@ -532,46 +494,46 @@ func (p *Pool) runClusterCells(ctx context.Context, cells []Scenario, results []
 	for ci := range cells {
 		baseJob[ci] = -1
 	}
-	for ji, sl := range slots {
-		if sl.baseline {
-			baseJob[sl.cell] = ji
+	for ji, j := range jobs {
+		if j.baseline {
+			baseJob[j.cell] = ji
 		} else {
-			mainJob[sl.cell] = ji
+			mainJob[j.cell] = ji
 		}
-		remaining[sl.cell].Add(1)
+		remaining[j.cell].Add(1)
 	}
 	runs := make([]ClusterRun, len(jobs))
 	return p.Map(ctx, len(jobs), func(ji int) error {
 		j := jobs[ji]
-		mutate := j.Mutate
-		if j.Observe != nil || j.Tracer != nil {
-			mutate = func(c *cluster.Config) {
-				if j.Mutate != nil {
-					j.Mutate(c)
-				}
-				if j.Observe != nil {
-					c.OnInterval = j.Observe
-				}
-				c.Tracer = j.Tracer
+		ci := j.cell
+		cell := &cells[ci]
+		mutate := func(c *cluster.Config) {
+			c.Sleep = j.sleep
+			cell.applyChurn(c)
+			if j.baseline {
+				return
 			}
+			if h.Observe != nil {
+				c.OnInterval = func(st cluster.IntervalStats) { h.Observe(ci, st) }
+			}
+			c.Tracer = j.tracer
 		}
-		run, err := p.runClusterArena(ctx, j.Size, j.Band, j.Seed, j.Intervals, mutate)
+		run, err := p.runClusterArena(ctx, cell.Size, j.band, cell.SeedValue(), cell.Intervals, mutate)
 		if err != nil {
 			return fmt.Errorf("engine: sweep job %d (size=%d band=%v seed=%d): %w",
-				ji, j.Size, j.Band, j.Seed, err)
+				ji, cell.Size, j.band, cell.SeedValue(), err)
 		}
 		runs[ji] = run
 		p.addJoules(run.Energy)
 		p.addIntervals(uint64(len(run.Stats)))
 		p.addResilience(run.Failures, run.AppsLost)
-		ci := slots[ji].cell
 		if remaining[ci].Add(-1) != 0 {
 			return nil
 		}
 		res := &results[ci]
 		main := runs[mainJob[ci]]
-		res.Kind = cells[ci].Kind
-		res.Scenario = cells[ci]
+		res.Kind = cell.Kind
+		res.Scenario = *cell
 		res.Cluster = &main
 		if baseJob[ci] >= 0 {
 			res.AlwaysOnJoules = runs[baseJob[ci]].Energy

@@ -235,7 +235,7 @@ func TestRunSweepCancellationStopsMidSimulation(t *testing.T) {
 		t.Fatal(err)
 	}
 	seen := 0
-	_, err := NewPool(1).RunSweepObserved(ctx, spec, func(cell int, st any) {
+	_, err := runObserved(t, ctx, NewPool(1), spec, func(cell int, st any) {
 		seen++
 		if seen == 2 {
 			cancel()
@@ -257,8 +257,8 @@ func TestRunScenarioCancelledBeforeStart(t *testing.T) {
 	if _, err := p.RunScenario(ctx, Scenario{Size: 40, Intervals: 5}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("error = %v, want context.Canceled", err)
 	}
-	if st := p.Stats(); st.RunsFailed != 1 {
-		t.Errorf("RunsFailed = %d, want 1", st.RunsFailed)
+	if st := p.Stats(); st.JobsCompleted != 0 || st.JobsFailed != 1 {
+		t.Errorf("jobs completed/failed = %d/%d, want 0/1", st.JobsCompleted, st.JobsFailed)
 	}
 }
 
@@ -271,7 +271,7 @@ func TestSweepObserverSeesEveryInterval(t *testing.T) {
 	}
 	var mu sync.Mutex
 	counts := make(map[int]int)
-	res, err := NewPool(4).RunSweepObserved(context.Background(), spec, func(cell int, st any) {
+	res, err := runObserved(t, context.Background(), NewPool(4), spec, func(cell int, st any) {
 		mu.Lock()
 		counts[cell]++
 		mu.Unlock()
@@ -290,4 +290,15 @@ func TestSweepObserverSeesEveryInterval(t *testing.T) {
 			t.Errorf("cell %d baseline missing", cell)
 		}
 	}
+}
+
+// runObserved expands spec and runs it on p with a live interval
+// observer.
+func runObserved(t *testing.T, ctx context.Context, p *Pool, spec SweepSpec, observe func(cell int, st any)) (SweepResult, error) {
+	t.Helper()
+	ex, err := spec.Expand()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p.RunExpandedHooked(ctx, ex, RunHooks{Observe: observe})
 }

@@ -9,6 +9,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"strconv"
 
 	"ealb/internal/cluster"
 	"ealb/internal/engine"
@@ -45,15 +46,37 @@ func RunCluster(size int, band workload.Band, seed uint64, intervals int, mutate
 	return engine.RunCluster(context.Background(), size, band, seed, intervals, mutate)
 }
 
-// panelJobs enumerates the (size × band) sweep of §5 in panel order.
-func panelJobs(sizes []int, seed uint64, intervals int) []engine.ClusterJob {
-	var jobs []engine.ClusterJob
-	for _, size := range sizes {
-		for _, band := range PaperBands {
-			jobs = append(jobs, engine.ClusterJob{Size: size, Band: band, Seed: seed, Intervals: intervals})
-		}
+// sweepPanels runs a cluster sweep over sizes × bands × seeds on the pool
+// and returns its cells in expansion order — the panel order of §5.
+func sweepPanels(p *engine.Pool, sizes []int, bands []workload.Band, seeds []uint64, intervals int, baseline bool) ([]engine.Result, error) {
+	spec := engine.SweepSpec{
+		Scenario: engine.Scenario{Intervals: intervals, CompareBaseline: baseline},
+		Sizes:    sizes,
+		Seeds:    seeds,
 	}
-	return jobs
+	for _, b := range bands {
+		spec.Bands = append(spec.Bands, bandSpec(b))
+	}
+	res, err := p.RunSweep(context.Background(), spec)
+	if err != nil {
+		return nil, err
+	}
+	return res.Cells, nil
+}
+
+// bandSpec is the scenario form of a load band: its "lo-hi" bounds, each
+// formatted so that parsing it back gives the same float.
+func bandSpec(b workload.Band) string {
+	return strconv.FormatFloat(b.Lo, 'f', -1, 64) + "-" + strconv.FormatFloat(b.Hi, 'f', -1, 64)
+}
+
+// clusterRuns extracts the cells' cluster runs.
+func clusterRuns(cells []engine.Result) []ClusterRun {
+	runs := make([]ClusterRun, len(cells))
+	for i, c := range cells {
+		runs[i] = *c.Cluster
+	}
+	return runs
 }
 
 // Figure2 runs the six §5 panels (three sizes × two load bands) and
@@ -66,11 +89,11 @@ func Figure2(sizes []int, seed uint64, intervals int) ([]ClusterRun, error) {
 // independent simulations with per-panel RNG derivation, so the result is
 // identical to the serial sweep regardless of the pool's width.
 func Figure2On(p *engine.Pool, sizes []int, seed uint64, intervals int) ([]ClusterRun, error) {
-	runs, err := p.SweepCluster(context.Background(), panelJobs(sizes, seed, intervals))
+	cells, err := sweepPanels(p, sizes, PaperBands, []uint64{seed}, intervals, false)
 	if err != nil {
 		return nil, fmt.Errorf("figure2: %w", err)
 	}
-	return runs, nil
+	return clusterRuns(cells), nil
 }
 
 // RenderFigure2 writes the regime histograms in the layout of the paper's
@@ -179,31 +202,21 @@ func RunEnergySavings(size int, band workload.Band, seed uint64, intervals int) 
 // configuration, running the energy-aware and always-on simulations of
 // all pairs through the pool.
 func EnergySavingsSweepOn(p *engine.Pool, sizes []int, bands []workload.Band, seed uint64, intervals int) ([]EnergySavings, error) {
-	var jobs []engine.ClusterJob
-	for _, size := range sizes {
-		for _, band := range bands {
-			jobs = append(jobs,
-				engine.ClusterJob{Size: size, Band: band, Seed: seed, Intervals: intervals},
-				engine.ClusterJob{Size: size, Band: band, Seed: seed, Intervals: intervals,
-					Mutate: func(c *cluster.Config) { c.Sleep = cluster.SleepNever }})
-		}
-	}
-	runs, err := p.SweepCluster(context.Background(), jobs)
+	cells, err := sweepPanels(p, sizes, bands, []uint64{seed}, intervals, true)
 	if err != nil {
 		return nil, err
 	}
-	out := make([]EnergySavings, 0, len(runs)/2)
-	for i := 0; i < len(runs); i += 2 {
-		aware, always := runs[i], runs[i+1]
-		row := EnergySavings{
+	out := make([]EnergySavings, len(cells))
+	for i, c := range cells {
+		aware := c.Cluster
+		out[i] = EnergySavings{
 			Size: aware.Size, Band: aware.Band,
 			EnergyAware: aware.Energy,
-			AlwaysOn:    always.Energy,
+			AlwaysOn:    c.AlwaysOnJoules,
 		}
 		if aware.Energy > 0 {
-			row.Ratio = always.Energy / aware.Energy
+			out[i].Ratio = c.AlwaysOnJoules / aware.Energy
 		}
-		out = append(out, row)
 	}
 	return out, nil
 }

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"io"
 
@@ -37,17 +36,13 @@ func RunRobustnessOn(p *engine.Pool, size int, band workload.Band, seeds []uint6
 	if len(seeds) == 0 {
 		return Robustness{}, fmt.Errorf("experiments: robustness needs at least one seed")
 	}
-	jobs := make([]engine.ClusterJob, len(seeds))
-	for i, seed := range seeds {
-		jobs[i] = engine.ClusterJob{Size: size, Band: band, Seed: seed, Intervals: intervals}
-	}
-	results, err := p.SweepCluster(context.Background(), jobs)
+	cells, err := sweepPanels(p, []int{size}, []workload.Band{band}, seeds, intervals, false)
 	if err != nil {
 		return Robustness{}, err
 	}
 	out := Robustness{Size: size, Band: band, Seeds: seeds}
 	var runs []metrics.Series
-	for _, r := range results {
+	for _, r := range clusterRuns(cells) {
 		runs = append(runs, metrics.FromRun(r.Stats))
 		out.Crossover = append(out.Crossover, r.Crossover())
 		out.Sleeping = append(out.Sleeping, r.Sleeping)

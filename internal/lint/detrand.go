@@ -17,7 +17,7 @@ var DetRand = &Analyzer{
 	Name: "detrand",
 	Doc: "forbid math/rand, wall-clock reads (time.Now/Since/Until), and map " +
 		"iteration in deterministic packages (cluster, farm, engine, workload, " +
-		"eventsim, serve) unless annotated //ealb:allow-nondet <reason>",
+		"serve) unless annotated //ealb:allow-nondet <reason>",
 	Run: runDetRand,
 }
 

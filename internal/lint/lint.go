@@ -307,7 +307,6 @@ var deterministicPackages = []string{
 	"ealb/internal/farm",
 	"ealb/internal/engine",
 	"ealb/internal/workload",
-	"ealb/internal/eventsim",
 	"ealb/internal/serve",
 }
 

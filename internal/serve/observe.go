@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"fmt"
 	"log/slog"
 	"net/http"
 	"sort"
@@ -37,7 +36,7 @@ const traceArenaSize = 64 << 10
 // which also keeps the tail and the store in the same order.
 type tailTracer struct {
 	srv   *Server
-	tail  *tail[[]byte]
+	tail  *tail
 	runID string
 	cell  int
 
@@ -173,83 +172,19 @@ func (w *statusWriter) status() int {
 }
 
 // handleTrace streams one cell's decision events as newline-delimited
-// JSON, flushing after every batch. Like /intervals it tails a running
-// simulation live; once the run finishes, the live buffers are released
-// and the remainder streams from the run store (up to the per-cell cap,
-// and for the in-memory store its finished-run retention window), so
-// finished runs stay streamable without pinning every event in RAM.
+// JSON (see streamTail). Once the run finishes, the remainder streams
+// from the run store (up to the per-cell cap, and for the in-memory store
+// its finished-run retention window), so finished runs stay streamable
+// without pinning every event in RAM. Trace streams carry no status line,
+// unlike interval streams.
 func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
-	run := s.snapshot(r.PathValue("id"))
-	if run == nil {
-		httpError(w, http.StatusNotFound, "no such run")
-		return
-	}
-	if run.traceTail == nil {
-		httpError(w, http.StatusConflict, `run has no decision trace (submit with "trace":true on a cluster or farm scenario)`)
-		return
-	}
-	cell := 0
-	if raw := r.URL.Query().Get("cell"); raw != "" {
-		n, err := strconv.Atoi(raw)
-		if err != nil || n < 0 {
-			httpError(w, http.StatusBadRequest, fmt.Sprintf("invalid cell %q", raw))
-			return
-		}
-		cell = n
-	}
-	if cell >= run.traceTail.cellCount() {
-		httpError(w, http.StatusNotFound, fmt.Sprintf("no such cell %d (run has %d)", cell, run.traceTail.cellCount()))
-		return
-	}
-
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	flusher, _ := w.(http.Flusher)
-	// Stored and live items alike are encoded event lines: write them
-	// verbatim, newline-terminated, in 64 KiB batches.
-	var buf []byte
-	emit := func(lines [][]byte) bool {
-		for i, ln := range lines {
-			buf = append(append(buf, ln...), '\n')
-			if len(buf) >= 64<<10 || i == len(lines)-1 {
-				if _, err := w.Write(buf); err != nil {
-					return false
-				}
-				buf = buf[:0]
-			}
-		}
-		if flusher != nil && len(lines) > 0 {
-			flusher.Flush()
-		}
-		return true
-	}
-	sent := 0
-	for {
-		lines, done, released, wake := run.traceTail.after(cell, sent)
-		if released {
-			// Terminal: the live buffers are gone; stream the remainder
-			// from the store. Trace streams carry no status line (unlike
-			// interval tails) — that contract is unchanged.
+	s.streamTail(w, r, func(run *Run) *tail { return run.traceTail },
+		`run has no decision trace (submit with "trace":true on a cluster or farm scenario)`,
+		func(lw *lineWriter, run *Run, cell, sent int) {
 			if stored, err := s.store.Trace(run.ID, cell); err == nil && sent < len(stored) {
-				emit(stored[sent:])
+				lw.write(stored[sent:])
 			}
-			return
-		}
-		if !emit(lines) {
-			return
-		}
-		sent += len(lines)
-		if len(lines) > 0 {
-			continue // re-check before blocking: more may have arrived
-		}
-		if done {
-			return
-		}
-		select {
-		case <-wake:
-		case <-r.Context().Done():
-			return
-		}
-	}
+		})
 }
 
 // histDef is one histogram family instance for /metrics exposition.

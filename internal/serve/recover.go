@@ -83,10 +83,10 @@ func (s *Server) recoverRun(rec store.Record) error {
 		// Released tails route interval readers to the recorded result
 		// or the store, and trace readers to the store.
 		if streaming {
-			run.tail = releasedTail[any](len(ex.Cells()))
+			run.tail = releasedTail(len(ex.Cells()))
 		}
 		if traced {
-			run.traceTail = releasedTail[[]byte](len(ex.Cells()))
+			run.traceTail = releasedTail(len(ex.Cells()))
 		}
 		s.register(run, false)
 		return nil
@@ -101,10 +101,10 @@ func (s *Server) recoverRun(rec store.Record) error {
 	}
 	if !claimed {
 		if streaming {
-			run.tail = newTail[any](len(ex.Cells()))
+			run.tail = newTail(len(ex.Cells()))
 		}
 		if traced {
-			run.traceTail = newTail[[]byte](len(ex.Cells()))
+			run.traceTail = newTail(len(ex.Cells()))
 		}
 		s.register(run, false)
 		if s.logger != nil {
@@ -138,16 +138,16 @@ func (s *Server) recoverRun(rec store.Record) error {
 		return err
 	}
 	if streaming {
-		run.tail = newTail[any](len(ex.Cells()))
+		run.tail = newTail(len(ex.Cells()))
 		//ealb:allow-nondet per-cell preload; cells are independent buffers
 		for cell := range resume {
 			if lines, err := s.store.Intervals(rec.ID, cell); err == nil {
-				run.tail.preload(cell, rawLines(lines))
+				run.tail.preload(cell, lines)
 			}
 		}
 	}
 	if traced {
-		run.traceTail = newTail[[]byte](len(ex.Cells()))
+		run.traceTail = newTail(len(ex.Cells()))
 		//ealb:allow-nondet per-cell preload; cells are independent buffers
 		for cell := range resume {
 			if lines, err := s.store.Trace(rec.ID, cell); err == nil {

@@ -122,17 +122,17 @@ type Run struct {
 	// stored marks a done run whose result was evicted from memory: it
 	// is read back from the run store's record on demand (fullSnapshot).
 	stored bool
-	// tail buffers per-interval stats of cluster cells for live
-	// streaming; nil for policy runs. Released at every terminal status:
-	// done runs serve intervals from the recorded result,
-	// failed/cancelled ones from the store.
-	tail *tail[any]
+	// tail buffers the encoded per-interval stats of cluster and farm
+	// cells for live streaming; nil for policy runs. Released at every
+	// terminal status: done runs serve intervals from the recorded
+	// result, failed/cancelled ones from the store.
+	tail *tail
 	// traceTail buffers the encoded decision-event lines of runs
 	// submitted with "trace":true; nil otherwise. Also released at
 	// terminal status — events persist in the store (bounded by
 	// maxTraceEventsPerCell and the memory store's retention window), so
 	// finished runs stay streamable without pinning every event in RAM.
-	traceTail *tail[[]byte]
+	traceTail *tail
 }
 
 // summary is the list view of a run: everything but the full result.
@@ -443,10 +443,10 @@ func (s *Server) newRun(ex engine.ExpandedSweep, single bool, cancel context.Can
 		run.Spec = &sp
 	}
 	if spec.Kind == engine.KindCluster || spec.Kind == engine.KindFarm {
-		run.tail = newTail[any](len(ex.Cells()))
+		run.tail = newTail(len(ex.Cells()))
 		// Every cell of a sweep shares the spec's trace flag.
 		if ex.Cells()[0].Trace {
-			run.traceTail = newTail[[]byte](len(ex.Cells()))
+			run.traceTail = newTail(len(ex.Cells()))
 		}
 	}
 	s.runs[run.ID] = run
@@ -526,14 +526,17 @@ func (s *Server) execute(ctx context.Context, run *Run) {
 
 	hooks := engine.RunHooks{Completed: run.resume}
 	if run.tail != nil {
+		// Each interval is encoded once: the same line feeds the live
+		// tail and the store, where failed/cancelled runs stream from
+		// once the live buffers are released.
 		hooks.Observe = func(cell int, st any) {
-			run.tail.observe(cell, st)
-			// Persist the interval so failed/cancelled runs stream from
-			// the store once the live buffers are released.
-			if raw, err := json.Marshal(st); err == nil {
-				if err := s.store.AppendInterval(run.ID, cell, raw); err != nil {
-					s.logStoreError("interval", run.ID, err)
-				}
+			raw, err := json.Marshal(st)
+			if err != nil {
+				return
+			}
+			run.tail.observe(cell, raw)
+			if err := s.store.AppendInterval(run.ID, cell, raw); err != nil {
+				s.logStoreError("interval", run.ID, err)
 			}
 		}
 	}
@@ -608,10 +611,10 @@ func (s *Server) execute(ctx context.Context, run *Run) {
 	// failed-run intervals and every trace for its whole lifetime).
 	// Readers fall through to the recorded result or the store.
 	if run.tail != nil {
-		run.tail.finish(true)
+		run.tail.finish()
 	}
 	if run.traceTail != nil {
-		run.traceTail.finish(true)
+		run.traceTail.finish()
 	}
 	if s.logger != nil {
 		s.mu.Lock()
@@ -789,20 +792,46 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusAccepted, s.snapshot(r.PathValue("id")))
 }
 
-// handleIntervals streams per-interval stats of one cluster cell as
-// newline-delimited JSON, flushing after every interval. It tails a
-// running (or still queued) simulation live: buffered intervals stream
-// immediately and new ones follow as the simulation produces them, until
-// the run reaches a terminal status. ?cell= selects a sweep cell by its
-// expansion index (default 0).
+// handleIntervals streams per-interval stats of one cluster or farm
+// cell as newline-delimited JSON (see streamTail). A done run streams the
+// remainder from its recorded result; a failed/cancelled one streams it
+// from the store and closes with the terminal status line, so a tail
+// client sees why no more intervals will come.
 func (s *Server) handleIntervals(w http.ResponseWriter, r *http.Request) {
+	s.streamTail(w, r, func(run *Run) *tail { return run.tail },
+		"run has no per-interval stats (not a cluster or farm scenario)",
+		func(lw *lineWriter, run *Run, cell, sent int) {
+			snap := s.fullSnapshot(run.ID)
+			if snap.Status == StatusDone {
+				snap.writeRecordedStats(lw, cell, sent)
+				return
+			}
+			if lines, err := s.store.Intervals(run.ID, cell); err == nil && sent < len(lines) {
+				if !lw.write(lines[sent:]) {
+					return
+				}
+			}
+			status, _ := json.Marshal(map[string]string{"status": snap.Status, "error": snap.Error})
+			lw.write([][]byte{status})
+		})
+}
+
+// streamTail serves one cell of a run's live stream as newline-delimited
+// JSON. It tails a running (or still queued) run: buffered lines stream
+// immediately and new ones follow as the run produces them. Once the run
+// reaches a terminal status the tail is released and rest writes the
+// remainder past the sent lines. pick selects the tail; a run without
+// one gets a 409 carrying missing. ?cell= selects a sweep cell by its
+// expansion index (default 0).
+func (s *Server) streamTail(w http.ResponseWriter, r *http.Request, pick func(*Run) *tail, missing string, rest func(lw *lineWriter, run *Run, cell, sent int)) {
 	run := s.snapshot(r.PathValue("id"))
 	if run == nil {
 		httpError(w, http.StatusNotFound, "no such run")
 		return
 	}
-	if run.tail == nil {
-		httpError(w, http.StatusConflict, "run has no per-interval stats (not a cluster or farm scenario)")
+	t := pick(run)
+	if t == nil {
+		httpError(w, http.StatusConflict, missing)
 		return
 	}
 	cell := 0
@@ -814,60 +843,26 @@ func (s *Server) handleIntervals(w http.ResponseWriter, r *http.Request) {
 		}
 		cell = n
 	}
-	if cell >= run.tail.cellCount() {
-		httpError(w, http.StatusNotFound, fmt.Sprintf("no such cell %d (run has %d)", cell, run.tail.cellCount()))
+	if cell >= t.n {
+		httpError(w, http.StatusNotFound, fmt.Sprintf("no such cell %d (run has %d)", cell, t.n))
 		return
 	}
 
 	w.Header().Set("Content-Type", "application/x-ndjson")
-	flusher, _ := w.(http.Flusher)
-	enc := json.NewEncoder(w)
-	emit := func(items []any) bool {
-		for _, st := range items {
-			if err := enc.Encode(st); err != nil {
-				return false
-			}
-			if flusher != nil {
-				flusher.Flush()
-			}
-		}
-		return true
-	}
+	lw := &lineWriter{w: w}
 	sent := 0
 	for {
-		items, done, released, wake := run.tail.after(cell, sent)
+		lines, released, wake := t.after(cell, sent)
 		if released {
-			// The run reached a terminal status and the live buffers were
-			// dropped. A done run streams the remainder from its recorded
-			// result; a failed/cancelled one streams it from the store and
-			// closes with the terminal status line, so a tail client sees
-			// why no more intervals will come.
-			snap := s.fullSnapshot(run.ID)
-			if snap.Status == StatusDone {
-				if stats := snap.cellStats(cell); sent < len(stats) {
-					emit(stats[sent:])
-				}
-				return
-			}
-			if lines, err := s.store.Intervals(run.ID, cell); err == nil && sent < len(lines) {
-				emit(rawLines(lines[sent:]))
-			}
-			emit([]any{map[string]string{"status": snap.Status, "error": snap.Error}})
+			rest(lw, run, cell, sent)
 			return
 		}
-		if !emit(items) {
+		if !lw.write(lines) {
 			return
 		}
-		sent += len(items)
-		if len(items) > 0 {
+		sent += len(lines)
+		if len(lines) > 0 {
 			continue // re-check before blocking: more may have arrived
-		}
-		if done {
-			// Defensive: finish now always releases, but close with the
-			// status line if a done-without-release state ever appears.
-			snap := s.snapshot(run.ID)
-			emit([]any{map[string]string{"status": snap.Status, "error": snap.Error}})
-			return
 		}
 		select {
 		case <-wake:
@@ -877,64 +872,98 @@ func (s *Server) handleIntervals(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// rawLines adapts stored NDJSON lines for the tail emit helpers:
-// json.RawMessage re-encodes verbatim, so stored bytes stream back
-// unmodified.
-func rawLines(lines [][]byte) []any {
-	out := make([]any, len(lines))
-	for i, ln := range lines {
-		out[i] = json.RawMessage(ln)
-	}
-	return out
+// lineWriter writes NDJSON lines to a response in 64 KiB batches.
+type lineWriter struct {
+	w   http.ResponseWriter
+	buf []byte
 }
 
-// cellStats returns the recorded per-interval stats of one cluster or
-// farm cell of a finished run (nil when absent).
-func (run *Run) cellStats(cell int) []any {
-	if run == nil {
-		return nil
+// add buffers one line, writing the batch out once it reaches 64 KiB.
+// It reports false once the client has gone away.
+func (lw *lineWriter) add(line []byte) bool {
+	lw.buf = append(append(lw.buf, line...), '\n')
+	if len(lw.buf) < 64<<10 {
+		return true
 	}
+	_, err := lw.w.Write(lw.buf)
+	lw.buf = lw.buf[:0]
+	return err == nil
+}
+
+// flush writes out the buffered lines and flushes the response.
+func (lw *lineWriter) flush() bool {
+	if len(lw.buf) > 0 {
+		_, err := lw.w.Write(lw.buf)
+		lw.buf = lw.buf[:0]
+		if err != nil {
+			return false
+		}
+	}
+	if f, ok := lw.w.(http.Flusher); ok {
+		f.Flush()
+	}
+	return true
+}
+
+// write sends lines as one flushed batch; no lines is a no-op.
+func (lw *lineWriter) write(lines [][]byte) bool {
+	if len(lines) == 0 {
+		return true
+	}
+	for _, ln := range lines {
+		if !lw.add(ln) {
+			return false
+		}
+	}
+	return lw.flush()
+}
+
+// writeRecordedStats streams the recorded per-interval stats of one
+// cluster or farm cell of a finished run past from, each marshaled as
+// the live observer marshals it.
+func (run *Run) writeRecordedStats(lw *lineWriter, cell, from int) {
 	var res *engine.Result
 	switch {
+	case run == nil:
 	case run.Result != nil && cell == 0:
 		res = run.Result
 	case run.Sweep != nil && cell < len(run.Sweep.Cells):
 		res = &run.Sweep.Cells[cell]
 	}
-	if res == nil {
-		return nil
-	}
 	switch {
+	case res == nil:
 	case res.Cluster != nil:
-		out := make([]any, len(res.Cluster.Stats))
-		for i, st := range res.Cluster.Stats {
-			out[i] = st
-		}
-		return out
+		writeLines(lw, res.Cluster.Stats, from)
 	case res.Farm != nil:
-		out := make([]any, len(res.Farm.Stats))
-		for i, st := range res.Farm.Stats {
-			out[i] = st
-		}
-		return out
+		writeLines(lw, res.Farm.Stats, from)
 	}
-	return nil
 }
 
-// tail buffers a run's per-cell stream items so clients can stream
-// them while the simulation is still running: the interval tail holds
-// cluster.IntervalStats or farm.IntervalStats values (matching the run
-// kind), the trace tail the encoded NDJSON lines of decision events.
-// Once the run reaches a terminal status the buffers are released —
-// the same data lives in the recorded result or the run store.
-type tail[T any] struct {
+// writeLines marshals items[from:] one line each and flushes them.
+func writeLines[T any](lw *lineWriter, items []T, from int) {
+	if from >= len(items) {
+		return
+	}
+	for _, v := range items[from:] {
+		raw, err := json.Marshal(v)
+		if err != nil || !lw.add(raw) {
+			return
+		}
+	}
+	lw.flush()
+}
+
+// tail buffers a run's per-cell stream as encoded NDJSON lines (without
+// the newline) so clients can stream them while the run is still going:
+// interval stats in the interval tail, decision events in the trace
+// tail. Once the run reaches a terminal status the buffers are released
+// — the same data lives in the recorded result or the run store.
+type tail struct {
 	n int // cell count, stable after construction
 
 	mu sync.Mutex
 	//ealb:guarded-by(mu)
-	cells [][]T
-	//ealb:guarded-by(mu)
-	done bool
+	cells [][][]byte
 	//ealb:guarded-by(mu)
 	released bool
 	//ealb:guarded-by(mu)
@@ -943,52 +972,50 @@ type tail[T any] struct {
 	armed bool // a reader holds wake: the next append/finish must close it
 }
 
-func newTail[T any](cells int) *tail[T] {
-	return &tail[T]{n: cells, cells: make([][]T, cells), wake: make(chan struct{})}
+func newTail(cells int) *tail {
+	return &tail{n: cells, cells: make([][][]byte, cells), wake: make(chan struct{})}
 }
 
 // releasedTail builds a tail already in the terminal released state —
 // recovered terminal runs, whose streams live in the store or the
 // recorded result.
-func releasedTail[T any](cells int) *tail[T] {
-	t := newTail[T](cells)
-	t.finish(true)
+func releasedTail(cells int) *tail {
+	t := newTail(cells)
+	t.finish()
 	return t
 }
 
-func (t *tail[T]) cellCount() int { return t.n }
-
-// preload seeds a cell's buffer with stored stream items before the run
+// preload seeds a cell's buffer with stored lines before the run
 // (re)starts: a resumed run's checkpointed cells never re-observe, so
-// live tail clients get their items from the preloaded ones instead.
-func (t *tail[T]) preload(cell int, items []T) {
+// live tail clients get their lines from the preloaded ones instead.
+func (t *tail) preload(cell int, lines [][]byte) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if cell < 0 || cell >= len(t.cells) || t.done {
+	if cell < 0 || cell >= len(t.cells) || t.released {
 		return
 	}
-	t.cells[cell] = append(t.cells[cell], items...)
+	t.cells[cell] = append(t.cells[cell], lines...)
 }
 
-// observe appends one item and wakes blocked readers. It is called from
+// observe appends one line and wakes blocked readers. It is called from
 // engine worker goroutines.
-func (t *tail[T]) observe(cell int, v T) {
+func (t *tail) observe(cell int, line []byte) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if cell < 0 || cell >= len(t.cells) || t.done {
+	if cell < 0 || cell >= len(t.cells) || t.released {
 		return
 	}
-	t.cells[cell] = append(t.cells[cell], v)
+	t.cells[cell] = append(t.cells[cell], line)
 	t.wakeLocked()
 }
 
 // wakeLocked closes the wake channel handed out since the last wake, if
 // any, and replaces it. With no reader waiting there is nothing to
-// close, so a busy writer does not allocate a channel per item. Caller
+// close, so a busy writer does not allocate a channel per line. Caller
 // holds t.mu.
 //
 //ealb:locked(mu)
-func (t *tail[T]) wakeLocked() {
+func (t *tail) wakeLocked() {
 	if !t.armed {
 		return
 	}
@@ -997,36 +1024,33 @@ func (t *tail[T]) wakeLocked() {
 	t.armed = false
 }
 
-// finish marks the run terminal and wakes blocked readers; release
-// additionally drops the buffers (the caller guarantees the run's
-// recorded result or the store now holds them).
-func (t *tail[T]) finish(release bool) {
+// finish marks the run terminal, drops the buffers (the caller
+// guarantees the run's recorded result or the store now holds them) and
+// wakes blocked readers.
+func (t *tail) finish() {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.done = true
-	if release {
-		t.released = true
-		t.cells = nil
-	}
+	t.released = true
+	t.cells = nil
 	t.wakeLocked()
 }
 
-// after returns the cell's items past from, the terminal/released
-// flags, and a channel that is closed on the next append/finish. When
-// released is true the buffers are gone and the caller must read the
-// run's recorded result or the store instead.
-func (t *tail[T]) after(cell, from int) (items []T, done, released bool, wake <-chan struct{}) {
+// after returns the cell's lines past from, whether the tail is
+// released, and a channel that is closed on the next append/finish. Once
+// released the buffers are gone and the caller must read the run's
+// recorded result or the store instead.
+func (t *tail) after(cell, from int) (lines [][]byte, released bool, wake <-chan struct{}) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if t.released {
-		return nil, true, true, t.wake
+		return nil, true, t.wake
 	}
 	t.armed = true
-	items = t.cells[cell]
-	if from > len(items) {
-		from = len(items)
+	lines = t.cells[cell]
+	if from > len(lines) {
+		from = len(lines)
 	}
-	return items[from:], t.done, false, t.wake
+	return lines[from:], false, t.wake
 }
 
 // metricDef describes one exported metric.
@@ -1060,9 +1084,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	s.mu.Unlock()
 
 	metrics := []metricDef{
-		{"ealb_runs_started_total", "Scenario/sweep runs started on the engine.", "counter", fmt.Sprintf("%d", st.RunsStarted)},
-		{"ealb_runs_completed_total", "Scenario/sweep runs completed successfully.", "counter", fmt.Sprintf("%d", st.RunsCompleted)},
-		{"ealb_runs_failed_total", "Scenario/sweep runs that failed or were cancelled.", "counter", fmt.Sprintf("%d", st.RunsFailed)},
 		{"ealb_service_runs_queued", "Service runs waiting to start.", "gauge", fmt.Sprintf("%d", queued)},
 		{"ealb_service_runs_running", "Service runs currently executing.", "gauge", fmt.Sprintf("%d", running)},
 		{"ealb_service_runs_done", "Service runs finished successfully.", "gauge", fmt.Sprintf("%d", done)},

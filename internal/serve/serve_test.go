@@ -212,9 +212,9 @@ func TestMetrics(t *testing.T) {
 	}
 	body := string(raw)
 	for _, want := range []string{
-		"ealb_runs_started_total 1",
-		"ealb_runs_completed_total 1",
+		"ealb_service_runs_running 0",
 		"ealb_service_runs_done 1",
+		"ealb_service_runs_failed 0",
 		"ealb_engine_jobs_completed_total 2",      // aware + baseline
 		"ealb_engine_intervals_simulated_total 6", // 3 intervals × both jobs
 		"ealb_engine_queue_depth 0",

@@ -329,7 +329,7 @@ func TestMetricsExposition(t *testing.T) {
 		t.Errorf("only %d samples exposed", samples)
 	}
 	for _, want := range []string{
-		"ealb_runs_completed_total", "ealb_service_runs_cancelled", "ealb_engine_queue_depth",
+		"ealb_service_runs_done", "ealb_service_runs_cancelled", "ealb_engine_queue_depth",
 		"ealb_engine_job_queue_wait_seconds", "ealb_engine_job_run_seconds",
 		"ealb_sim_phase_seconds", "ealb_http_request_duration_seconds", "ealb_http_requests_total",
 	} {

@@ -37,7 +37,7 @@ func BenchmarkTraceSink(b *testing.B) {
 				if i%(1<<16) == 0 {
 					b.StopTimer()
 					if tt != nil {
-						tt.tail.finish(true)
+						tt.tail.finish()
 						if err := st.PutRun(store.Record{ID: tt.runID, Status: StatusDone}); err != nil {
 							b.Fatal(err)
 						}
@@ -46,7 +46,7 @@ func BenchmarkTraceSink(b *testing.B) {
 					if err != nil {
 						b.Fatal(err)
 					}
-					tt = &tailTracer{srv: s, tail: newTail[[]byte](1), runID: id}
+					tt = &tailTracer{srv: s, tail: newTail(1), runID: id}
 					b.StartTimer()
 				}
 				e.Src = i % 1000
